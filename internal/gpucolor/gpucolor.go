@@ -184,6 +184,7 @@ type Result struct {
 
 	busySum, busyMaxSum int64
 	width               int
+	ldsAccesses         int64 // pinned by TestAccountingGolden
 }
 
 // SIMDUtilization returns the lane-occupancy fraction aggregated over every
@@ -359,6 +360,7 @@ func (r *runner) launch(rr *simt.RunResult, keepWavefronts bool) {
 	r.res.MemTransactions += rr.Stats.MemTransactions
 	r.res.Atomics += rr.Stats.Atomics
 	r.res.CacheHits += rr.Stats.CacheHits
+	r.res.ldsAccesses += rr.Stats.LDSAccesses
 	if keepWavefronts {
 		r.res.WavefrontWork = append(r.res.WavefrontWork, rr.Stats.WavefrontCost...)
 	}
