@@ -1,9 +1,6 @@
 package simt
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Per-wavefront cost accounting. Lanes of one wavefront execute in lockstep,
 // so the wavefront pays for its busiest lane's ALU work, and each memory
@@ -19,22 +16,21 @@ type laneAcc struct {
 	active    bool  // lane executed at all (grid tail masking)
 }
 
-type ordAcc struct {
-	active int      // lanes issuing an access at this ordinal
-	segs   []uint64 // distinct segments touched (deduplicated, <= width entries)
-	// filter is a 256-bit bloom filter over segs. The FIFO cache model
-	// makes cost order-sensitive, so segs must stay in first-touch order
-	// and dedup must happen at record time; the filter lets scattered
-	// access patterns append without scanning the whole slice.
-	filter [4]uint64
+// access is one logged global memory access: buffer<<40 | element, and the
+// issuing lane's ordinal for it.
+type access struct {
+	addr uint64
+	ord  int32
 }
 
 // wfAcc accumulates one wavefront's activity. It is scratch memory reused
 // across wavefronts by each phase-A worker.
 type wfAcc struct {
-	lanes    []laneAcc
-	ords     []ordAcc
-	nOrds    int
+	lanes []laneAcc
+	// log lists the global memory accesses in issue order. Segments and
+	// instruction grouping are worked out at cost time (segTable.charge),
+	// so recording an access is a single append.
+	log      []access
 	ldsOrds  []ldsOrd
 	nLdsOrds int
 
@@ -50,15 +46,8 @@ func newWfAcc(width int) *wfAcc {
 }
 
 func (w *wfAcc) reset() {
-	for i := range w.lanes {
-		w.lanes[i] = laneAcc{}
-	}
-	for i := 0; i < w.nOrds; i++ {
-		w.ords[i].active = 0
-		w.ords[i].segs = w.ords[i].segs[:0]
-		w.ords[i].filter = [4]uint64{}
-	}
-	w.nOrds = 0
+	clear(w.lanes)
+	w.log = w.log[:0]
 	for i := 0; i < w.nLdsOrds; i++ {
 		w.ldsOrds[i].active = 0
 		w.ldsOrds[i].pairs = w.ldsOrds[i].pairs[:0]
@@ -67,45 +56,11 @@ func (w *wfAcc) reset() {
 }
 
 // record notes that lane l issued a memory access to element idx of buffer
-// buf, with the given coalescing granularity.
-func (w *wfAcc) record(l int, buf, idx, segElems int32) {
+// buf.
+func (w *wfAcc) record(l int, buf, idx int32) {
 	lane := &w.lanes[l]
-	k := int(lane.nAccess)
+	w.log = append(w.log, access{uint64(uint32(buf))<<40 | uint64(uint32(idx)), lane.nAccess})
 	lane.nAccess++
-	for len(w.ords) <= k {
-		w.ords = append(w.ords, ordAcc{})
-	}
-	if k >= w.nOrds {
-		w.nOrds = k + 1
-	}
-	o := &w.ords[k]
-	o.active++
-	// SegmentElems is a power of two on every stock cost model, and this
-	// runs once per simulated memory access: shift instead of divide.
-	var segIdx uint64
-	if e := uint32(segElems); e&(e-1) == 0 {
-		segIdx = uint64(uint32(idx)) >> uint(bits.TrailingZeros32(e))
-	} else {
-		segIdx = uint64(uint32(idx)) / uint64(uint32(segElems))
-	}
-	seg := uint64(uint32(buf))<<40 | segIdx
-	// Coalesced fast path: lanes walk memory with spatial locality, so a
-	// duplicate segment is overwhelmingly the one just appended.
-	if n := len(o.segs); n > 0 && o.segs[n-1] == seg {
-		return
-	}
-	h := (seg * segHashMul) >> 56
-	bit := uint64(1) << (h & 63)
-	if o.filter[h>>6]&bit != 0 {
-		// Possibly seen before (or a filter collision): confirm by scan.
-		for i := len(o.segs) - 2; i >= 0; i-- {
-			if o.segs[i] == seg {
-				return
-			}
-		}
-	}
-	o.filter[h>>6] |= bit
-	o.segs = append(o.segs, seg)
 }
 
 // wfCost is the costed-out summary of one wavefront.
@@ -121,11 +76,12 @@ type wfCost struct {
 	cacheHits    int64
 }
 
-// cost folds the accumulated activity into cycles under cm. cache may be
-// nil (model off).
-func (w *wfAcc) cost(cm *CostModel, cache *segCache) wfCost {
+// cost folds the accumulated activity into cycles under cm, charging the
+// memory instructions against the group's segment table.
+func (w *wfAcc) cost(cm *CostModel, t *segTable) wfCost {
 	var c wfCost
 	var aluMax int64
+	var nOrds int32
 	for i := range w.lanes {
 		l := &w.lanes[i]
 		if !l.active {
@@ -139,23 +95,14 @@ func (w *wfAcc) cost(cm *CostModel, cache *segCache) wfCost {
 		if l.alu > aluMax {
 			aluMax = l.alu
 		}
+		nOrds = max(nOrds, l.nAccess)
 		c.aluOps += l.alu
 		c.accesses += int64(l.nAccess)
 		c.atomics += l.atomics
 	}
-	c.cycles = aluMax*cm.ALUOp + c.atomics*cm.AtomicOp
-	for k := 0; k < w.nOrds; k++ {
-		c.cycles += cm.MemIssue
-		for _, seg := range w.ords[k].segs {
-			c.transactions++
-			if cache.touch(seg) {
-				c.cacheHits++
-				c.cycles += cm.MemPerHit
-			} else {
-				c.cycles += cm.MemPerTransaction
-			}
-		}
-	}
+	c.transactions, c.cacheHits = t.charge(w.log, nOrds, cm.SegmentElems)
+	c.cycles = aluMax*cm.ALUOp + c.atomics*cm.AtomicOp + int64(nOrds)*cm.MemIssue +
+		c.cacheHits*cm.MemPerHit + (c.transactions-c.cacheHits)*cm.MemPerTransaction
 	ldsCycles, ldsAccesses := w.ldsCost(cm)
 	c.cycles += ldsCycles
 	c.ldsAccesses = ldsAccesses
@@ -184,7 +131,7 @@ func (c *Ctx) Op(n int) { c.wf.lanes[c.laneIdx].alu += int64(n) }
 // fault injector armed the load may return a bit-flipped value, and an
 // out-of-range index returns poison (0) instead of panicking.
 func (c *Ctx) Ld(b *BufInt32, i int32) int32 {
-	c.wf.record(c.laneIdx, b.id, i, c.cm.SegmentElems)
+	c.wf.record(c.laneIdx, b.id, i)
 	if c.fi != nil {
 		return c.fi.ld(c.launch, c.Global, c.wf.lanes[c.laneIdx].nAccess, b, i)
 	}
@@ -197,7 +144,7 @@ func (c *Ctx) Ld(b *BufInt32, i int32) int32 {
 // fault injector armed an out-of-range store is dropped instead of
 // panicking.
 func (c *Ctx) St(b *BufInt32, i int32, v int32) {
-	c.wf.record(c.laneIdx, b.id, i, c.cm.SegmentElems)
+	c.wf.record(c.laneIdx, b.id, i)
 	if c.fi != nil && !c.fi.stOK(b, i) {
 		return
 	}
@@ -213,7 +160,7 @@ func (c *Ctx) St(b *BufInt32, i int32, v int32) {
 // kernels use this to read the live color array while winners publish
 // their colors in the same pass.
 func (c *Ctx) LdShared(b *BufInt32, i int32) int32 {
-	c.wf.record(c.laneIdx, b.id, i, c.cm.SegmentElems)
+	c.wf.record(c.laneIdx, b.id, i)
 	if c.fi != nil {
 		return c.fi.ldShared(c.launch, c.Global, c.wf.lanes[c.laneIdx].nAccess, b, i)
 	}
@@ -223,7 +170,7 @@ func (c *Ctx) LdShared(b *BufInt32, i int32) int32 {
 // StShared is St with a relaxed-atomic host store, the writer side of the
 // LdShared contract. Cost accounting is identical to St.
 func (c *Ctx) StShared(b *BufInt32, i int32, v int32) {
-	c.wf.record(c.laneIdx, b.id, i, c.cm.SegmentElems)
+	c.wf.record(c.laneIdx, b.id, i)
 	if c.fi != nil && !c.fi.stOK(b, i) {
 		return
 	}

@@ -235,21 +235,21 @@ func (d *Device) getRunResult() *RunResult {
 // --- pooled phase-A worker scratch ---
 
 // workerScratch is the per-worker execution state of one phase-A worker:
-// the wavefront accumulators, the segment cache, and the worker-local
+// the wavefront accumulators, the segment table, and the worker-local
 // stats it merges into the launch totals. Pooled per device; entries whose
 // geometry no longer matches the device configuration are dropped.
 type workerScratch struct {
 	width int
 	segs  int
 	wfs   []*wfAcc // data-parallel kernels use wfs[0]; coop kernels all of them
-	cache *segCache
+	cache *segTable
 	local KernelStats
 	gctx  GroupCtx // reusable cooperative group context
 	lds   ldsArena // backing store for AllocLDS, reset per group
 }
 
 // getWorkerScratch returns scratch with nWfs wavefront accumulators of the
-// device's current width and a segment cache of the current geometry.
+// device's current width and a segment table of the current geometry.
 func (d *Device) getWorkerScratch(nWfs int) *workerScratch {
 	width, segs := d.WavefrontWidth, d.Cost.CacheSegments
 	if v := d.workers_.Get(); v != nil {
@@ -263,7 +263,7 @@ func (d *Device) getWorkerScratch(nWfs int) *workerScratch {
 			return ws
 		}
 	}
-	ws := &workerScratch{width: width, segs: segs, cache: newSegCache(segs)}
+	ws := &workerScratch{width: width, segs: segs, cache: newSegTable(segs, width)}
 	ws.local = KernelStats{width: width}
 	for len(ws.wfs) < nWfs {
 		ws.wfs = append(ws.wfs, newWfAcc(width))
@@ -274,4 +274,3 @@ func (d *Device) getWorkerScratch(nWfs int) *workerScratch {
 func (d *Device) putWorkerScratch(ws *workerScratch) {
 	d.workers_.Put(ws)
 }
-

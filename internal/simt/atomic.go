@@ -8,7 +8,7 @@ import "sync/atomic"
 // memory access plus the per-atomic serialization charge.
 
 func (c *Ctx) atomicAccount(b *BufInt32, i int32) {
-	c.wf.record(c.laneIdx, b.id, i, c.cm.SegmentElems)
+	c.wf.record(c.laneIdx, b.id, i)
 	c.wf.lanes[c.laneIdx].atomics++
 }
 

@@ -1,5 +1,7 @@
 package simt
 
+import "math/bits"
+
 // Optional read-cache model. When CostModel.CacheSegments > 0, each
 // workgroup execution carries a FIFO set of recently touched memory
 // segments (approximating the reuse a CU's L1 captures while the group is
@@ -8,126 +10,171 @@ package simt
 // model stays independent of scheduling (phase A records costs before the
 // scheduling policy is simulated — see the package comment).
 
-// segCache is a fixed-capacity FIFO set of segment ids.
+// segTable charges a workgroup's memory instructions: it deduplicates the
+// segments each instruction touches (coalescing) and runs the FIFO cache,
+// both with one probe of a single open-addressed table per access.
 //
-// Membership is tracked by an open-addressed seg -> ring-slot table rather
-// than a Go map: touch runs once per simulated memory transaction, hot
-// enough that map hashing dominated serving profiles. A table entry is live
-// iff the ring slot it names still holds its key, so FIFO eviction needs no
-// table deletion — the evicted segment's entry goes stale on its own and is
-// swept by rebuilding from the ring once stale entries fill half the table.
-type segCache struct {
-	cap  int
-	ring []uint64
-	next int
+// Each entry remembers the miss clock when its segment was inserted and
+// the stamp of the last instruction that touched it. A segment is resident
+// iff fewer than cap misses happened since its insertion: FIFO evicts
+// exactly in insertion order and hits do not refresh an entry, so that
+// count is its ring position. An entry stamped before the group's first
+// instruction is empty, which makes the per-group reset a single store.
+type segTable struct {
+	cap   uint64 // CacheSegments; 0 never hits but still deduplicates
+	tab   []segEntry
+	spare []segEntry // compaction target, swapped with tab
+	used  int        // entries inserted since the last reset or compaction
+	shift uint       // 64 - log2(len(tab)), for the fibonacci hash
+	base  uint64     // stamp of the group's first instruction
+	now   uint64     // stamp of the current instruction
+	miss  uint64     // miss clock
 
-	keys  []uint64
-	slots []int32 // ring index per key, -1 = empty table slot
-	used  int     // occupied table slots, live or stale
-	shift uint    // 64 - log2(len(keys)), for the fibonacci hash
+	// Counting-sort scratch for charge, grown monotonically.
+	counts []int32
+	segs   []uint64
+}
+
+type segEntry struct {
+	seg   uint64
+	ins   uint64 // miss clock at insertion
+	stamp uint64 // last instruction that touched seg
 }
 
 const segHashMul = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 
-func newSegCache(capacity int) *segCache {
-	if capacity <= 0 {
-		return nil
-	}
-	// Table at least 4x capacity: rebuilds start from <= 25% load, and the
-	// 50% rebuild trigger then guarantees an empty slot for every probe.
+// stampLimit bounds the instruction stamp: reset wipes the table and
+// restarts the stamps past it, so stamps never wrap inside a group.
+const stampLimit = 1 << 63
+
+// newSegTable sizes the table for a cache of capacity segments and
+// wavefronts of width lanes. A compaction leaves at most capacity entries
+// and one instruction adds at most width, so a table of at least
+// 4*(capacity+width) never passes 50% load.
+func newSegTable(capacity, width int) *segTable {
 	tabBits := 3
-	for 1<<tabBits < 4*capacity {
+	for 1<<tabBits < 4*(capacity+width) {
 		tabBits++
 	}
-	c := &segCache{
-		cap:   capacity,
-		ring:  make([]uint64, 0, capacity),
-		keys:  make([]uint64, 1<<tabBits),
-		slots: make([]int32, 1<<tabBits),
+	return &segTable{
+		cap:   uint64(capacity),
+		tab:   make([]segEntry, 1<<tabBits),
+		spare: make([]segEntry, 1<<tabBits),
 		shift: uint(64 - tabBits),
 	}
-	for i := range c.slots {
-		c.slots[i] = -1
-	}
-	return c
 }
 
-func (c *segCache) reset() {
-	if c == nil {
-		return
+// reset empties the cache for a new workgroup.
+func (t *segTable) reset() {
+	if t.now >= stampLimit {
+		clear(t.tab)
+		t.now = 0
 	}
-	c.ring = c.ring[:0]
-	c.next = 0
-	for i := range c.slots {
-		c.slots[i] = -1
-	}
-	c.used = 0
+	t.base = t.now + 1
+	t.used = 0
 }
 
-// find probes for seg, returning either the slot holding its key (found)
-// or the empty slot where it belongs (not found).
-func (c *segCache) find(seg uint64) (int, bool) {
-	mask := uint64(len(c.keys) - 1)
-	i := (seg * segHashMul) >> c.shift
-	for {
-		if c.slots[i] < 0 {
-			return int(i), false
+// charge costs a wavefront's access log, whose lanes issued at most nOrds
+// accesses each. The k-th accesses of all lanes form instruction k; a
+// stable counting sort by ordinal groups them while keeping each
+// instruction's first-touch order, which the FIFO depends on. It returns
+// the transactions (distinct segments per instruction) and cache hits.
+func (t *segTable) charge(log []access, nOrds, segElems int32) (transactions, hits int64) {
+	if int(nOrds) >= len(t.counts) {
+		t.counts = make([]int32, nOrds+1)
+	}
+	counts := t.counts[:nOrds+1]
+	clear(counts)
+	for _, a := range log {
+		counts[a.ord+1]++
+	}
+	for k := 1; k < len(counts); k++ {
+		counts[k] += counts[k-1]
+	}
+	if len(log) > cap(t.segs) {
+		t.segs = make([]uint64, len(log))
+	}
+	segs := t.segs[:len(log)]
+	// SegmentElems is a power of two on every stock cost model: shift
+	// instead of divide.
+	e := uint64(segElems)
+	pow2 := e&(e-1) == 0
+	sh := uint(bits.TrailingZeros64(e))
+	for _, a := range log {
+		idx := a.addr & (1<<40 - 1)
+		if pow2 {
+			idx >>= sh
+		} else {
+			idx /= e
 		}
-		if c.keys[i] == seg {
-			return int(i), true
-		}
-		i = (i + 1) & mask
+		segs[counts[a.ord]] = a.addr&^(1<<40-1) | idx
+		counts[a.ord]++
 	}
+
+	mask := uint64(len(t.tab) - 1)
+	start := int32(0)
+	for _, end := range counts[:nOrds] {
+		// An instruction inserts at most one entry per lane.
+		if 2*(t.used+int(end-start)) > len(t.tab) {
+			t.compact()
+		}
+		t.now++
+		prev := ^uint64(0)
+		for _, seg := range segs[start:end] {
+			// Coalesced fast path: neighbouring lanes mostly share the
+			// segment just charged.
+			if seg == prev {
+				continue
+			}
+			prev = seg
+			i := (seg * segHashMul) >> t.shift
+			for {
+				en := &t.tab[i]
+				if en.stamp < t.base {
+					*en = segEntry{seg: seg, ins: t.miss, stamp: t.now}
+					t.miss++
+					t.used++
+					transactions++
+					break
+				}
+				if en.seg == seg {
+					if en.stamp != t.now {
+						transactions++
+						if t.miss-en.ins <= t.cap {
+							hits++
+						} else {
+							en.ins = t.miss
+							t.miss++
+						}
+						en.stamp = t.now
+					}
+					break
+				}
+				i = (i + 1) & mask
+			}
+		}
+		start = end
+	}
+	return transactions, hits
 }
 
-// rebuild resets the table and reinserts only the segments live in the
-// ring, discarding stale entries left behind by FIFO eviction.
-func (c *segCache) rebuild() {
-	for i := range c.slots {
-		c.slots[i] = -1
-	}
-	c.used = 0
-	mask := uint64(len(c.keys) - 1)
-	for idx, seg := range c.ring {
-		i := (seg * segHashMul) >> c.shift
-		for c.slots[i] >= 0 {
+// compact rehashes into the spare table only the resident segments,
+// dropping expired ones, whose next touch is a miss either way. It runs
+// between instructions, so at most cap entries survive.
+func (t *segTable) compact() {
+	clear(t.spare) // stamps 0 < base: all empty
+	mask := uint64(len(t.spare) - 1)
+	t.used = 0
+	for _, en := range t.tab {
+		if en.stamp < t.base || t.miss-en.ins > t.cap {
+			continue
+		}
+		i := (en.seg * segHashMul) >> t.shift
+		for t.spare[i].stamp >= t.base {
 			i = (i + 1) & mask
 		}
-		c.keys[i] = seg
-		c.slots[i] = int32(idx)
-		c.used++
+		t.spare[i] = en
+		t.used++
 	}
-}
-
-// touch returns whether seg was cached, inserting it either way.
-func (c *segCache) touch(seg uint64) bool {
-	if c == nil {
-		return false
-	}
-	i, found := c.find(seg)
-	if found && c.ring[c.slots[i]] == seg {
-		return true
-	}
-	var ringIdx int32
-	if len(c.ring) < c.cap {
-		ringIdx = int32(len(c.ring))
-		c.ring = append(c.ring, seg)
-	} else {
-		ringIdx = int32(c.next)
-		c.ring[c.next] = seg
-		c.next = (c.next + 1) % c.cap
-	}
-	if found {
-		// Stale entry for the same segment: revive it in place.
-		c.slots[i] = ringIdx
-		return false
-	}
-	if 2*(c.used+1) > len(c.keys) {
-		c.rebuild()
-		i, _ = c.find(seg)
-	}
-	c.keys[i] = seg
-	c.slots[i] = ringIdx
-	c.used++
-	return false
+	t.tab, t.spare = t.spare, t.tab
 }

@@ -13,23 +13,21 @@ type CoopFunc func(g *GroupCtx)
 
 // GroupCtx is a workgroup's view of the device inside a cooperative kernel.
 type GroupCtx struct {
-	id     int32
-	size   int
-	width  int
-	cm     *CostModel
-	wfs    []*wfAcc
-	fi     *FaultInjector
-	launch uint64
-	lds    *ldsArena // worker-owned LDS backing store, reset per group
+	id    int32
+	size  int
+	width int
+	cm    *CostModel
+	wfs   []*wfAcc
+	lds   *ldsArena // worker-owned LDS backing store, reset per group
 
 	extraCost   int64 // barrier + collective charges
 	barriers    int64
 	collectives int64
 
-	// ctx is the single lane context handed to kernel bodies, rebuilt per
-	// lane by ctxFor. Sharing one keeps the per-lane dispatch
-	// allocation-free; bodies must not retain it past their invocation
-	// (the documented Ctx contract).
+	// ctx is the single lane context handed to kernel bodies: its
+	// per-group fields are set with the group, its per-lane ones by enter.
+	// Sharing one keeps the per-lane dispatch allocation-free; bodies must
+	// not retain it past their invocation (the documented Ctx contract).
 	ctx Ctx
 }
 
@@ -40,21 +38,16 @@ func (g *GroupCtx) ID() int32 { return g.id }
 // Size returns the number of work-items in the group.
 func (g *GroupCtx) Size() int { return g.size }
 
-func (g *GroupCtx) ctxFor(lane int) *Ctx {
-	wf := lane / g.width
-	l := lane % g.width
-	g.wfs[wf].lanes[l].active = true
-	g.ctx = Ctx{
-		Global:  g.id*int32(g.size) + int32(lane),
-		Local:   int32(lane),
-		Group:   g.id,
-		cm:      g.cm,
-		wf:      g.wfs[wf],
-		laneIdx: l,
-		fi:      g.fi,
-		launch:  g.launch,
-	}
-	return &g.ctx
+// enter points the group's lane context at lane, which is lane l of
+// wavefront wf; callers advance wf and l alongside lane instead of
+// dividing per lane.
+func (g *GroupCtx) enter(wf, l, lane int) *Ctx {
+	acc := g.wfs[wf]
+	acc.lanes[l].active = true
+	c := &g.ctx
+	c.Global, c.Local, c.Group = g.id*int32(g.size)+int32(lane), int32(lane), g.id
+	c.wf, c.laneIdx = acc, l
+	return c
 }
 
 // ForEach runs body for every i in [0, n), striding the iterations across
@@ -62,8 +55,12 @@ func (g *GroupCtx) ctxFor(lane int) *Ctx {
 // loop over a vertex's neighbour list.
 func (g *GroupCtx) ForEach(n int32, body func(c *Ctx, i int32)) {
 	for chunk := int32(0); chunk < n; chunk += int32(g.size) {
+		wf, l := 0, 0
 		for lane := 0; lane < g.size && chunk+int32(lane) < n; lane++ {
-			body(g.ctxFor(lane), chunk+int32(lane))
+			body(g.enter(wf, l, lane), chunk+int32(lane))
+			if l++; l == g.width {
+				wf, l = wf+1, 0
+			}
 		}
 	}
 }
@@ -75,9 +72,13 @@ func (g *GroupCtx) ForEach(n int32, body func(c *Ctx, i int32)) {
 func (g *GroupCtx) Any(n int32, pred func(c *Ctx, i int32) bool) bool {
 	for chunk := int32(0); chunk < n; chunk += int32(g.size) {
 		found := false
+		wf, l := 0, 0
 		for lane := 0; lane < g.size && chunk+int32(lane) < n; lane++ {
-			if pred(g.ctxFor(lane), chunk+int32(lane)) {
+			if pred(g.enter(wf, l, lane), chunk+int32(lane)) {
 				found = true
+			}
+			if l++; l == g.width {
+				wf, l = wf+1, 0
 			}
 		}
 		g.reduceCharge(chunk, n)
@@ -103,7 +104,7 @@ func (g *GroupCtx) reduceCharge(chunk, n int32) {
 
 // One runs body on lane 0 only (the "if (tid == 0)" idiom).
 func (g *GroupCtx) One(body func(c *Ctx)) {
-	body(g.ctxFor(0))
+	body(g.enter(0, 0, 0))
 }
 
 // Barrier charges a workgroup barrier.
@@ -156,14 +157,13 @@ func (st *coopLaunchState) work() {
 		// allocate per group.
 		gc := &ws.gctx
 		*gc = GroupCtx{
-			id:     int32(gi),
-			size:   st.size,
-			width:  ws.width,
-			cm:     &d.Cost,
-			wfs:    wfs,
-			fi:     d.Fault,
-			launch: st.launch,
-			lds:    &ws.lds,
+			id:    int32(gi),
+			size:  st.size,
+			width: ws.width,
+			cm:    &d.Cost,
+			wfs:   wfs,
+			lds:   &ws.lds,
+			ctx:   Ctx{cm: &d.Cost, fi: d.Fault, launch: st.launch},
 		}
 		cost := d.execCoopGroup(gc, st.launch, st.f, cache, local)
 		if fi := d.Fault; fi != nil && fi.stallGroup(st.launch, gc.id) {
@@ -218,7 +218,7 @@ func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, lau
 // (the cooperative analogue of a wavefront abort — the group owns one
 // task, so killing part of it is indistinguishable from killing it all),
 // and kernel-body panics on corrupted data are absorbed as group panics.
-func (d *Device) execCoopGroup(gc *GroupCtx, launch uint64, f CoopFunc, cache *segCache, local *KernelStats) (cost int64) {
+func (d *Device) execCoopGroup(gc *GroupCtx, launch uint64, f CoopFunc, cache *segTable, local *KernelStats) (cost int64) {
 	if fi := d.Fault; fi != nil {
 		if fi.abortWavefront(launch, gc.id, 0) {
 			return 0

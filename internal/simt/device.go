@@ -29,8 +29,8 @@ type Device struct {
 	Workers int
 	// Fault, when non-nil, injects deterministic seeded faults into every
 	// kernel launch and switches the device to permissive out-of-bounds
-	// semantics (see FaultInjector). nil — the default — costs nothing and
-	// changes nothing.
+	// semantics (see FaultInjector); while armed, phase A runs on one
+	// worker. nil — the default — costs nothing and changes nothing.
 	Fault *FaultInjector
 
 	nextBuf  atomic.Int32
@@ -71,9 +71,19 @@ func (d *Device) check() {
 		panic(fmt.Sprintf("simt: WorkgroupSize = %d, want positive multiple of wavefront width %d",
 			d.WorkgroupSize, d.WavefrontWidth))
 	}
+	if cm := &d.Cost; cm.SegmentElems < 1 || cm.LDSBanks < 1 || cm.CacheSegments < 0 {
+		panic(fmt.Sprintf("simt: SegmentElems = %d, LDSBanks = %d, CacheSegments = %d, want >= 1, >= 1, >= 0",
+			cm.SegmentElems, cm.LDSBanks, cm.CacheSegments))
+	}
 }
 
 func (d *Device) workers() int {
+	// Injected corruption turns plain stores into races between groups,
+	// whose outcome follows host scheduling: one worker keeps chaos runs
+	// reproducible.
+	if d.Fault != nil && d.Fault.Armed() {
+		return 1
+	}
 	if d.Workers > 0 {
 		return d.Workers
 	}

@@ -205,7 +205,7 @@ func (d *Device) execGroups(stats *KernelStats, name string, items int, launch u
 // negative slice lengths and the like), recording the group as aborted.
 // The named return keeps whatever cost had accumulated at zero — the
 // panicked group simply contributes no further work, deterministically.
-func (d *Device) execOneGroupSafe(g, items int, launch uint64, f KernelFunc, acc *wfAcc, cache *segCache, local *KernelStats) (cost int64) {
+func (d *Device) execOneGroupSafe(g, items int, launch uint64, f KernelFunc, acc *wfAcc, cache *segTable, local *KernelStats) (cost int64) {
 	if fi := d.Fault; fi != nil {
 		defer func() {
 			if r := recover(); r != nil {
@@ -219,7 +219,7 @@ func (d *Device) execOneGroupSafe(g, items int, launch uint64, f KernelFunc, acc
 
 // execOneGroup runs workgroup g's work-items lane by lane, wavefront by
 // wavefront, and returns the group's simulated cost.
-func (d *Device) execOneGroup(g, items int, launch uint64, f KernelFunc, acc *wfAcc, cache *segCache, local *KernelStats) int64 {
+func (d *Device) execOneGroup(g, items int, launch uint64, f KernelFunc, acc *wfAcc, cache *segTable, local *KernelStats) int64 {
 	wg := d.WorkgroupSize
 	width := d.WavefrontWidth
 	base := g * wg

@@ -261,6 +261,12 @@ func TestDeviceCheckPanics(t *testing.T) {
 		func(d *Device) { d.WavefrontWidth = 0 },
 		func(d *Device) { d.WorkgroupSize = 0 },
 		func(d *Device) { d.WorkgroupSize = 100 }, // not a multiple of 64
+		// 0 passes a power-of-two test and would fold every access of a
+		// buffer into segment 0.
+		func(d *Device) { d.Cost.SegmentElems = 0 },
+		// 0 would mask with 0xFFFFFFFF and never charge a bank conflict.
+		func(d *Device) { d.Cost.LDSBanks = 0 },
+		func(d *Device) { d.Cost.CacheSegments = -1 },
 	}
 	for i, mutate := range cases {
 		func() {
@@ -303,5 +309,32 @@ func TestTotalCostSumsGroups(t *testing.T) {
 	}
 	if got := res.Stats.TotalCost(); got != want {
 		t.Errorf("TotalCost = %d, want %d", got, want)
+	}
+}
+
+// Steady-state launches allocate nothing: the access log, the sort buffers
+// and the segment table live in the pooled worker scratch.
+func TestSteadyStateLaunchesAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the budget only holds without it")
+	}
+	d := NewDevice()
+	d.Workers = 1
+	data := d.AllocInt32(1 << 12)
+	kern := func(c *Ctx) {
+		for i := int32(0); i < c.Global%7; i++ {
+			c.Ld(data, (c.Global*31+i)&(1<<12-1))
+		}
+	}
+	coop := func(g *GroupCtx) {
+		g.ForEach(300, func(c *Ctx, i int32) { c.Ld(data, i*13&(1<<12-1)) })
+	}
+	launch := func() {
+		d.Recycle(d.Run("gather", 1<<12, kern))
+		d.Recycle(d.RunCoop("coop", 16, coop))
+	}
+	launch()
+	if a := testing.AllocsPerRun(20, launch); a != 0 {
+		t.Errorf("steady-state launches allocated %.1f times per run, want 0", a)
 	}
 }
