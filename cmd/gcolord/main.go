@@ -59,8 +59,11 @@
 // and POST /cluster/join (worker registration). Small graphs are routed
 // whole by rendezvous hashing on the graph fingerprint; large graphs are
 // split with the edge-balanced partitioner, scattered across workers, and
-// merge-repaired at the coordinator. With -journal-dir, accepted fleet
-// jobs survive coordinator crashes and are re-dispatched on restart.
+// merge-repaired at the coordinator. The -shard-k, -shard-auto-* and
+// -no-shard flags govern that split exactly as they govern a server's
+// device sharding, with K defaulting to the live worker count. With
+// -journal-dir, accepted fleet jobs survive coordinator crashes and are
+// re-dispatched on restart.
 package main
 
 import (
@@ -110,10 +113,10 @@ func main() {
 		noJournal    = flag.Bool("no-journal", false, "disable journaling even when -journal-dir is set")
 
 		maxBody   = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum POST /color body bytes; oversized requests get 413 (negative disables the limit)")
-		shardK    = flag.Int("shard-k", 0, "shard count for auto-sharded jobs (0 = pool size, capped at 16)")
+		shardK    = flag.Int("shard-k", 0, "shard count for auto-sharded jobs (0 = pool size, or live workers for a coordinator; capped at 16)")
 		shardAutV = flag.Int("shard-auto-vertices", 0, "auto-shard jobs at or above this many vertices (0 = default 8192, negative disables)")
 		shardAutE = flag.Int("shard-auto-edges", 0, "auto-shard jobs at or above this many edges (0 = default 262144, negative disables)")
-		noShard   = flag.Bool("no-shard", false, "disable sharded execution entirely; every job runs on one device")
+		noShard   = flag.Bool("no-shard", false, "disable sharded execution entirely; every job runs on one device (a coordinator routes every job whole)")
 
 		noBatch     = flag.Bool("no-batch", false, "disable block-diagonal batching; every small graph gets its own kernel launch")
 		batchJobs   = flag.Int("batch-max-jobs", 0, "max compatible small graphs fused into one batched launch (0 = default 16, below 2 disables)")
@@ -126,13 +129,20 @@ func main() {
 		joinURL   = flag.String("join", "", "worker: coordinator base URL to announce to")
 		advertise = flag.String("advertise", "", "worker: base URL workers advertise to the coordinator (default http://127.0.0.1:<addr port>)")
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "cluster heartbeat/probe interval")
-		noScatter = flag.Bool("no-scatter", false, "coordinator: route every job whole, never scatter-gather")
 
 		standbyURL    = flag.String("standby", "", "coordinator standby mode: primary coordinator base URL to watch; tails -journal-dir and takes over on -addr when the primary stops answering")
 		standbyMisses = flag.Int("standby-misses", 3, "standby: consecutive missed primary probes before takeover")
 		leaseOwner    = flag.String("lease-owner", "", "coordinator/standby: name recorded in the epoch lease file (default the hostname)")
 	)
 	flag.Parse()
+	// One shard policy for every role: a server shards across its devices,
+	// a coordinator scatter-gathers across its live workers.
+	shardCfg := serve.ShardConfig{
+		Disabled:     *noShard,
+		K:            *shardK,
+		AutoVertices: *shardAutV,
+		AutoEdges:    *shardAutE,
+	}
 
 	// Standby mode watches the primary's journal directory with a read-only
 	// follower, so it must run before the append-mode journal open below.
@@ -141,7 +151,7 @@ func main() {
 			log.Fatal("gcolord: -standby requires -journal-dir (the primary's journal directory)")
 		}
 		runStandby(*addr, *standbyURL, *journalDir, *journalFsync, *journalSeg,
-			*heartbeat, *standbyMisses, *leaseOwner, *peers, *noScatter, *drainTimeout)
+			*heartbeat, *standbyMisses, *leaseOwner, *peers, shardCfg, *drainTimeout)
 		return
 	}
 
@@ -195,7 +205,7 @@ func main() {
 			epoch = lease.Epoch
 			log.Printf("gcolord: coordinator holds epoch %d (lease owner %s)", lease.Epoch, lease.Owner)
 		}
-		runCoordinator(*addr, *peers, *heartbeat, *noScatter, *drainTimeout, epoch, jrnl, rec)
+		runCoordinator(*addr, *peers, *heartbeat, shardCfg, *drainTimeout, epoch, jrnl, rec)
 		return
 	case "server", "worker":
 	default:
@@ -212,12 +222,7 @@ func main() {
 		SelfHeal:      serve.SelfHealConfig{Disabled: *noSelfHeal},
 		Journal:       jrnl,
 		Recovery:      rec,
-		Shard: serve.ShardConfig{
-			Disabled:     *noShard,
-			K:            *shardK,
-			AutoVertices: *shardAutV,
-			AutoEdges:    *shardAutE,
-		},
+		Shard:         shardCfg,
 		Batch: serve.BatchConfig{
 			Disabled:    *noBatch,
 			MaxJobs:     *batchJobs,
@@ -326,7 +331,7 @@ func main() {
 // runCoordinator is the -role coordinator daemon body: no device pool,
 // just the cluster front door with the same signal/drain lifecycle as the
 // serving roles.
-func runCoordinator(addr, peers string, heartbeat time.Duration, noScatter bool, drainTimeout time.Duration, epoch uint64, jrnl *journal.Journal, rec *journal.Recovery) {
+func runCoordinator(addr, peers string, heartbeat time.Duration, shardCfg serve.ShardConfig, drainTimeout time.Duration, epoch uint64, jrnl *journal.Journal, rec *journal.Recovery) {
 	var peerList []string
 	if peers != "" {
 		peerList = strings.Split(peers, ",")
@@ -334,7 +339,7 @@ func runCoordinator(addr, peers string, heartbeat time.Duration, noScatter bool,
 	coord := cluster.NewCoordinator(cluster.Config{
 		Peers:             peerList,
 		HeartbeatInterval: heartbeat,
-		NoScatter:         noScatter,
+		Shard:             shardCfg,
 		Epoch:             epoch,
 		Journal:           jrnl,
 		Recovery:          rec,
@@ -391,7 +396,7 @@ func runCoordinator(addr, peers string, heartbeat time.Duration, noScatter bool,
 // cleanly; after takeover the promoted coordinator drains like any other.
 func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
 	heartbeat time.Duration, misses int, owner, peers string,
-	noScatter bool, drainTimeout time.Duration) {
+	shardCfg serve.ShardConfig, drainTimeout time.Duration) {
 	mode, err := journal.ParseFsyncMode(fsync)
 	if err != nil {
 		log.Fatalf("gcolord: -journal-fsync: %v", err)
@@ -411,7 +416,7 @@ func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
 		Cluster: cluster.Config{
 			Peers:             peerList,
 			HeartbeatInterval: heartbeat,
-			NoScatter:         noScatter,
+			Shard:             shardCfg,
 		},
 		Logf: log.Printf,
 	})

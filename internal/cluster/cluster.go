@@ -157,23 +157,11 @@ type Config struct {
 	// disables idempotent replay at the coordinator).
 	IdemEntries int
 
-	// ScatterVertices and ScatterEdges are the graph-size thresholds at
-	// or above which a job is scatter-gathered instead of routed whole
-	// (defaults 8192 vertices / 262144 edges, the serve.ShardConfig auto
-	// thresholds; negative disables that trigger).
-	ScatterVertices int
-	ScatterEdges    int
-	// ShardK is the shard count for scattered jobs (0 = the live worker
-	// count, capped at MaxShards).
-	ShardK int
-	// MaxShards caps the per-job shard count (default 16).
-	MaxShards int
-	// NoScatter disables scatter-gather entirely; every job is routed
-	// whole.
-	NoScatter bool
-	// MaxRepairRounds bounds the coordinator's boundary repair loop
-	// (default shard.DefaultRepairRounds).
-	MaxRepairRounds int
+	// Shard is the scatter-gather policy: a job the rule
+	// serve.ShardConfig.Count shards — with units = the live worker count —
+	// is scatter-gathered across workers instead of routed whole. Disabled
+	// routes every job whole.
+	Shard serve.ShardConfig
 
 	// RouteAttempts bounds the workers tried for one whole-graph job
 	// (default 3: initial + 2 failovers).
@@ -236,18 +224,6 @@ func (c Config) withDefaults() Config {
 		c.IdemEntries = 0
 	case c.IdemEntries == 0:
 		c.IdemEntries = 4096
-	}
-	if c.ScatterVertices == 0 {
-		c.ScatterVertices = 8192
-	}
-	if c.ScatterEdges == 0 {
-		c.ScatterEdges = 1 << 18
-	}
-	if c.MaxShards < 1 {
-		c.MaxShards = 16
-	}
-	if c.ShardK > c.MaxShards {
-		c.ShardK = c.MaxShards
 	}
 	if c.RouteAttempts < 1 {
 		c.RouteAttempts = 3

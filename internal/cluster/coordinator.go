@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,9 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
 	"gcolor/internal/journal"
+	"gcolor/internal/lru"
 	"gcolor/internal/serve"
 )
 
@@ -27,10 +26,10 @@ type Coordinator struct {
 	cfg      Config
 	epoch    uint64 // fencing epoch, immutable after construction (0 = unfenced)
 	reg      *registry
-	cache    *resultCache
-	idem     *idemCache
-	owners   *ownerTable
-	specs    *specMemo
+	cache    *lru.Cache[serve.CacheKey, *serve.ColorResponse] // merged results
+	idem     *lru.Cache[string, *serve.ColorResponse]         // by Idempotency-Key
+	owners   *lru.Cache[uint64, string]                       // resident version -> worker addr
+	specs    *serve.SpecCache
 	client   *http.Client
 	hbClient *http.Client // control-plane client (header-timeout bounded)
 	jnl      *journal.Journal
@@ -54,6 +53,8 @@ type Coordinator struct {
 	redispatches     atomic.Int64 // shard re-dispatches after a worker failure
 	routeFailovers   atomic.Int64 // whole-graph failovers after a worker failure
 	joins            atomic.Int64
+	cacheHits        atomic.Int64
+	cacheMisses      atomic.Int64
 
 	// Epoch fencing evidence: fenced flips when a worker (or a worker's
 	// join/healthz) proves a newer epoch exists — this coordinator is
@@ -82,10 +83,10 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		epoch:   cfg.Epoch,
 		reg:     newRegistry(cfg),
-		cache:   newResultCache(cfg.CacheEntries),
-		idem:    newIdemCache(cfg.IdemEntries),
-		owners:  newOwnerTable(0),
-		specs:   newSpecMemo(64),
+		cache:   lru.New[serve.CacheKey, *serve.ColorResponse](cfg.CacheEntries),
+		idem:    lru.New[string, *serve.ColorResponse](cfg.IdemEntries),
+		owners:  lru.New[uint64, string](1024),
+		specs:   serve.NewSpecCache(64),
 		client:  cfg.Client,
 		jnl:     cfg.Journal,
 		drainCh: make(chan struct{}),
@@ -301,11 +302,13 @@ func (c *Coordinator) probeTimeout() time.Duration {
 	return to
 }
 
-// Submit runs one coloring job against the fleet: idempotent replay and
+// Submit runs one coloring job against the fleet: parse through
+// serve.BuildRequest (the workers' own parser), idempotent replay and
 // cache first, then journal-accept, then route-whole or scatter-gather,
 // then journal-complete and publish. wire, when non-nil, is the request's
 // own JSON (the journal replay payload). The returned response always
-// carries full Colors; the HTTP layer strips them per-request.
+// carries full Colors, never aliasing a cached entry; the HTTP layer
+// strips them per-request.
 func (c *Coordinator) Submit(ctx context.Context, cr *serve.ColorRequest, rid, idemKey string, wire []byte) (*serve.ColorResponse, error) {
 	if c.draining.Load() {
 		return nil, serve.ErrDraining
@@ -319,98 +322,92 @@ func (c *Coordinator) Submit(ctx context.Context, cr *serve.ColorRequest, rid, i
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 
-	// Deltas carry a base fingerprint instead of a graph: they bypass
-	// resolve (nothing to parse) and route to the base version's owner.
-	if cr.BaseFingerprint != "" {
-		return c.submitDelta(ctx, cr, rid, idemKey, wire)
-	}
-
-	g, alg, err := c.resolve(cr)
+	req, g, err := serve.BuildRequest(cr, c.specs)
 	if err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
-	fp := g.Fingerprint()
-	key := resultKey{fp: fp, policy: policyKey(alg, cr.Seed, cr.Threshold)}
-
-	if res, ok := c.idem.get(idemKey); ok {
-		out := *res
+	if hit, ok := c.idem.Get(idemKey); ok {
+		out := hit.Clone()
 		out.RequestID = rid
 		out.IdempotentReplay = true
-		return &out, nil
+		return out, nil
 	}
+	// Deltas carry a base fingerprint instead of a graph: nothing to
+	// scatter, so they route to the base version's owner.
+	if g == nil {
+		return c.submitDelta(ctx, cr, req, rid, idemKey, wire)
+	}
+	fp := req.Fingerprint
+	if fp == 0 {
+		fp = g.Fingerprint()
+	}
+	// The policy folds the request's Shards pin, so a pinned single-worker
+	// request never hits a scattered entry (or the reverse).
+	key := serve.KeyOf(req, fp, cr.Shards)
 	if !cr.NoCache {
-		if res, ok := c.cache.get(key); ok {
-			out := *res
+		if hit, ok := c.cache.Get(key); ok {
+			c.cacheHits.Add(1)
+			out := hit.Clone()
 			out.RequestID = rid
 			out.Cached = true
-			return &out, nil
+			return out, nil
 		}
+		c.cacheMisses.Add(1)
 	}
 
 	c.jobs.Add(1)
 	c.journalAccept(rid, idemKey, key, wire, ctx)
-
 	res, err := c.execute(ctx, g, cr, rid, idemKey, fp)
-	c.journalFinish(rid, idemKey, key, cr.NoCache, res, err)
+	if err == nil {
+		res.Fingerprint = graph.FingerprintString(fp)
+		if cr.Resident && res.Worker != "" {
+			// The worker pinned this graph in its version store; remember
+			// the binding so the first delta of the chain routes to it.
+			c.owners.Put(fp, res.Worker)
+		}
+	}
+	return c.publish(rid, idemKey, key, cr.NoCache, res, err)
+}
+
+// publish settles one executed job: journal the completion, store the
+// response in the merged-result cache and the idempotency map, and hand
+// the caller its own copy.
+func (c *Coordinator) publish(rid, idemKey string, key serve.CacheKey, noCache bool, res *serve.ColorResponse, err error) (*serve.ColorResponse, error) {
+	c.journalFinish(rid, idemKey, key, noCache, res, err)
 	if err != nil {
 		c.failed.Add(1)
 		return nil, err
 	}
 	res.RequestID = rid
-	res.Fingerprint = graph.FingerprintString(fp)
-	if cr.Resident && res.Worker != "" {
-		// The worker pinned this graph in its version store; remember the
-		// binding so the first delta of the chain routes straight to it.
-		c.owners.put(fp, res.Worker)
-	}
-	if !cr.NoCache {
-		stored := *res
-		c.cache.put(key, &stored)
+	if !noCache {
+		c.cache.Put(key, res)
 	}
 	if idemKey != "" {
-		stored := *res
-		c.idem.put(idemKey, &stored)
+		c.idem.Put(idemKey, res)
 	}
-	return res, nil
+	return res.Clone(), nil
 }
 
-// execute picks the execution shape: scatter-gather for large graphs with
-// enough live workers, whole-graph routing otherwise.
+// execute picks the execution shape: scatter-gather when the shared shard
+// rule splits the graph across the live workers, whole-graph routing
+// otherwise. A resident upload always routes whole — shards spread across
+// the fleet leave no single version store holding the graph, so every
+// later delta would 404.
 func (c *Coordinator) execute(ctx context.Context, g *graph.Graph, cr *serve.ColorRequest, rid, idemKey string, fp uint64) (*serve.ColorResponse, error) {
-	if c.shouldScatter(g, cr) {
-		res, err := c.scatter(ctx, g, cr, rid, fp)
-		if err == nil || err != errScatterUnavailable {
+	if !cr.Resident {
+		if k := c.cfg.Shard.Count(g, cr.Shards, len(c.reg.alive())); k > 1 {
+			res, err := c.scatter(ctx, g, cr, rid, fp, k)
 			if err == nil {
 				c.scattered.Add(1)
 			}
 			return res, err
 		}
-		// Not enough live workers to scatter after all; fall through.
 	}
 	res, err := c.route(ctx, cr, rid, idemKey, fp)
 	if err == nil {
 		c.routed.Add(1)
 	}
 	return res, err
-}
-
-// shouldScatter applies the size thresholds and the explicit Shards pin.
-func (c *Coordinator) shouldScatter(g *graph.Graph, cr *serve.ColorRequest) bool {
-	if c.cfg.NoScatter || cr.Shards == 1 {
-		return false
-	}
-	if cr.Resident {
-		// A resident upload must land whole on one worker — shards spread
-		// across the fleet leave no single version store holding the graph,
-		// so every later delta would 404.
-		return false
-	}
-	if cr.Shards >= 2 {
-		return true
-	}
-	big := (c.cfg.ScatterVertices > 0 && g.NumVertices() >= c.cfg.ScatterVertices) ||
-		(c.cfg.ScatterEdges > 0 && g.NumEdges() >= c.cfg.ScatterEdges)
-	return big
 }
 
 // route forwards the whole job to rendezvous-ranked workers, failing over
@@ -501,35 +498,9 @@ func judgeWorkerError(we *WorkerError) (good bool, reward float64) {
 	return false, 0
 }
 
-// resolve parses the request's graph (memoizing generator specs) and
-// algorithm.
-func (c *Coordinator) resolve(cr *serve.ColorRequest) (*graph.Graph, gpucolor.Algorithm, error) {
-	var g *graph.Graph
-	var err error
-	switch {
-	case cr.Gen != "" && cr.Graph != "":
-		return nil, 0, fmt.Errorf("set exactly one of graph and gen")
-	case cr.Gen != "":
-		g, err = c.specs.get(cr.Gen)
-	case cr.Graph != "":
-		g, err = graph.ReadEdgeList(strings.NewReader(cr.Graph))
-	default:
-		return nil, 0, fmt.Errorf("set exactly one of graph and gen")
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	alg := gpucolor.AlgBaseline
-	if cr.Alg != "" {
-		if alg, err = gpucolor.ParseAlgorithm(cr.Alg); err != nil {
-			return nil, 0, err
-		}
-	}
-	return g, alg, nil
-}
-
 // BadRequestError marks a submission the coordinator refused before any
-// fleet work: unparseable graph, unknown algorithm.
+// fleet work: a body serve.BuildRequest rejects (unparseable graph,
+// unknown algorithm, policy or priority, malformed delta).
 type BadRequestError struct{ Err error }
 
 // Error implements error.
@@ -540,7 +511,7 @@ func (e *BadRequestError) Unwrap() error { return e.Err }
 
 // journalAccept writes the accept record before any dispatch, so a
 // coordinator crash mid-fleet-work replays the job.
-func (c *Coordinator) journalAccept(rid, idemKey string, key resultKey, wire []byte, ctx context.Context) {
+func (c *Coordinator) journalAccept(rid, idemKey string, key serve.CacheKey, wire []byte, ctx context.Context) {
 	if c.jnl == nil || rid == "" || len(wire) == 0 {
 		return
 	}
@@ -551,8 +522,8 @@ func (c *Coordinator) journalAccept(rid, idemKey string, key resultKey, wire []b
 	_ = c.jnl.AppendAccept(journal.AcceptRecord{
 		ID:             rid,
 		IdemKey:        idemKey,
-		Fingerprint:    key.fp,
-		PolicyKey:      key.policy,
+		Fingerprint:    key.FP,
+		PolicyKey:      key.Policy,
 		DeadlineUnixMS: deadlineMS,
 		AcceptedUnixMS: time.Now().UnixMilli(),
 		Wire:           json.RawMessage(wire),
@@ -561,15 +532,15 @@ func (c *Coordinator) journalAccept(rid, idemKey string, key resultKey, wire []b
 
 // journalFinish writes the completion record for every disposition, so
 // replay never re-runs finished work.
-func (c *Coordinator) journalFinish(rid, idemKey string, key resultKey, noCache bool, res *serve.ColorResponse, err error) {
+func (c *Coordinator) journalFinish(rid, idemKey string, key serve.CacheKey, noCache bool, res *serve.ColorResponse, err error) {
 	if c.jnl == nil || rid == "" {
 		return
 	}
 	rec := journal.CompleteRecord{
 		ID:              rid,
 		IdemKey:         idemKey,
-		Fingerprint:     key.fp,
-		PolicyKey:       key.policy,
+		Fingerprint:     key.FP,
+		PolicyKey:       key.Policy,
 		CompletedUnixMS: time.Now().UnixMilli(),
 		NoCache:         noCache,
 	}
@@ -631,11 +602,11 @@ func (c *Coordinator) applyRecovery(rec *journal.Recovery) {
 			Scattered:   comp.Shards > 1,
 		}
 		if !comp.NoCache {
-			c.cache.put(resultKey{fp: comp.Fingerprint, policy: comp.PolicyKey}, res)
+			c.cache.Put(serve.CacheKey{FP: comp.Fingerprint, Policy: comp.PolicyKey}, res)
 			c.recWarmCache.Add(1)
 		}
 		if comp.IdemKey != "" {
-			c.idem.put(comp.IdemKey, res)
+			c.idem.Put(comp.IdemKey, res)
 			c.recWarmIdem.Add(1)
 		}
 	}
@@ -674,7 +645,26 @@ func (c *Coordinator) replayPending(pending []journal.AcceptRecord) {
 	wg.Wait()
 }
 
+// replayOne re-dispatches one crash-interrupted accept through Submit.
+// Every outcome journals a completion for the accept's ID — including
+// answers from the cache or idempotency map and refusals at admission,
+// which Submit itself never journals — so the accept cannot stay pending
+// across another restart. A duplicate of the completion Submit wrote is
+// harmless: replay dedupes. The one exception is a drain refusal: like
+// the replay loop's stop on drain, it leaves the accept pending for the
+// next incarnation to run.
 func (c *Coordinator) replayOne(a journal.AcceptRecord) {
+	settle := func(noCache bool, res *serve.ColorResponse, err error) {
+		key := serve.CacheKey{FP: a.Fingerprint, Policy: a.PolicyKey}
+		if res != nil {
+			// Key the coloring by the graph it belongs to: a delta's accept
+			// names its base, its completion the successor.
+			if fp, perr := serve.ParseFingerprint(res.Fingerprint); perr == nil {
+				key.FP = fp
+			}
+		}
+		c.journalFinish(a.ID, a.IdemKey, key, noCache, res, err)
+	}
 	if a.DeadlineUnixMS > 0 && time.Now().UnixMilli() > a.DeadlineUnixMS {
 		if c.jnl != nil {
 			_ = c.jnl.AppendComplete(journal.CompleteRecord{
@@ -689,22 +679,19 @@ func (c *Coordinator) replayOne(a journal.AcceptRecord) {
 	}
 	var cr serve.ColorRequest
 	if len(a.Wire) == 0 || json.Unmarshal(a.Wire, &cr) != nil {
-		if c.jnl != nil {
-			_ = c.jnl.AppendComplete(journal.CompleteRecord{
-				ID: a.ID, IdemKey: a.IdemKey,
-				Fingerprint: a.Fingerprint, PolicyKey: a.PolicyKey,
-				Disposition:     journal.DispFailed,
-				ErrKind:         "unreplayable",
-				CompletedUnixMS: time.Now().UnixMilli(),
-			})
-		}
+		settle(true, nil, errors.New("cluster: replay: unreplayable accept record"))
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.WorkerTimeout)
 	defer cancel()
-	if _, err := c.Submit(ctx, &cr, a.ID, a.IdemKey, a.Wire); err != nil {
+	res, err := c.Submit(ctx, &cr, a.ID, a.IdemKey, a.Wire)
+	if errors.Is(err, serve.ErrDraining) {
+		return
+	}
+	if err != nil {
 		c.recReplayErr.Add(1)
 	}
+	settle(cr.NoCache, res, err)
 }
 
 // SetTakeoverMS records the detect→serving latency of the standby
@@ -779,7 +766,6 @@ type Stats struct {
 
 // Stats snapshots the coordinator.
 func (c *Coordinator) Stats() Stats {
-	hits, misses, evict := c.cache.stats()
 	depth, devices, _ := c.reg.fleetLoad()
 	st := Stats{
 		Workers:      c.reg.size(),
@@ -794,7 +780,7 @@ func (c *Coordinator) Stats() Stats {
 		DeltaJobs:        c.deltaJobs.Load(),
 		DeltaOwnerHits:   c.deltaOwnerHits.Load(),
 		DeltaOwnerMisses: c.deltaOwnerMisses.Load(),
-		VersionOwners:    c.owners.len(),
+		VersionOwners:    c.owners.Len(),
 		Routed:           c.routed.Load(),
 		Scattered:        c.scattered.Load(),
 		Failed:           c.failed.Load(),
@@ -815,11 +801,11 @@ func (c *Coordinator) Stats() Stats {
 		FleetQueueDepth: depth,
 		FleetDevices:    devices,
 
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		CacheEvictions: evict,
-		CacheEntries:   c.cache.len(),
-		IdemEntries:    c.idem.len(),
+		CacheHits:      c.cacheHits.Load(),
+		CacheMisses:    c.cacheMisses.Load(),
+		CacheEvictions: c.cache.Evictions(),
+		CacheEntries:   c.cache.Len(),
+		IdemEntries:    c.idem.Len(),
 
 		Draining: c.draining.Load(),
 		Inflight: c.inflight.Load(),
@@ -834,48 +820,4 @@ func (c *Coordinator) Stats() Stats {
 		Members: c.Membership(),
 	}
 	return st
-}
-
-// specMemo is a tiny LRU of generated graphs keyed by generator spec, so
-// a hot spec driven by every load-generator worker is built once.
-type specMemo struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List
-	byKey map[string]*list.Element
-}
-
-type specMemoEntry struct {
-	key string
-	g   *graph.Graph
-}
-
-func newSpecMemo(capacity int) *specMemo {
-	return &specMemo{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *specMemo) get(spec string) (*graph.Graph, error) {
-	c.mu.Lock()
-	if el, ok := c.byKey[spec]; ok {
-		c.order.MoveToFront(el)
-		g := el.Value.(*specMemoEntry).g
-		c.mu.Unlock()
-		return g, nil
-	}
-	c.mu.Unlock()
-	g, err := serve.ParseGraphSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if _, ok := c.byKey[spec]; !ok {
-		c.byKey[spec] = c.order.PushFront(&specMemoEntry{key: spec, g: g})
-		for c.order.Len() > c.cap {
-			el := c.order.Back()
-			c.order.Remove(el)
-			delete(c.byKey, el.Value.(*specMemoEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	return g, nil
 }

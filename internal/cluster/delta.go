@@ -1,14 +1,11 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
-	"gcolor/internal/gpucolor"
 	"gcolor/internal/serve"
 )
 
@@ -21,75 +18,9 @@ import (
 // round-robining into unknown_base rejections. Version identity is content
 // identity (serve's delta engine fingerprints successors by content), so
 // the successor fingerprint in a delta reply is the owner-table key for
-// the next delta in the chain.
-
-// ownerTable is the bounded LRU mapping resident version fingerprints to
-// the worker that holds them. It is a routing hint, not a lease: a wrong
-// entry costs one 404 round trip (the worker answers unknown_base, the
-// entry is dropped), never a wrong answer.
-type ownerTable struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *ownerEntry
-	byFp  map[uint64]*list.Element
-}
-
-type ownerEntry struct {
-	fp   uint64
-	addr string
-}
-
-func newOwnerTable(capacity int) *ownerTable {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &ownerTable{cap: capacity, order: list.New(), byFp: make(map[uint64]*list.Element)}
-}
-
-func (t *ownerTable) get(fp uint64) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.byFp[fp]
-	if !ok {
-		return "", false
-	}
-	t.order.MoveToFront(el)
-	return el.Value.(*ownerEntry).addr, true
-}
-
-func (t *ownerTable) put(fp uint64, addr string) {
-	if addr == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.byFp[fp]; ok {
-		el.Value.(*ownerEntry).addr = addr
-		t.order.MoveToFront(el)
-		return
-	}
-	t.byFp[fp] = t.order.PushFront(&ownerEntry{fp: fp, addr: addr})
-	for t.order.Len() > t.cap {
-		el := t.order.Back()
-		t.order.Remove(el)
-		delete(t.byFp, el.Value.(*ownerEntry).fp)
-	}
-}
-
-func (t *ownerTable) drop(fp uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.byFp[fp]; ok {
-		t.order.Remove(el)
-		delete(t.byFp, fp)
-	}
-}
-
-func (t *ownerTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.order.Len()
-}
+// the next delta in the chain. The owner table is a routing hint, not a
+// lease: a wrong entry costs one 404 round trip (the worker answers
+// unknown_base, the entry is dropped), never a wrong answer.
 
 // lookup resolves a member by its canonical base URL (owner-table hints
 // store addresses, not member IDs, so a worker that re-joins keeps its
@@ -100,36 +31,17 @@ func (r *registry) lookup(addr string) *member {
 	return r.byAddr[addr]
 }
 
-// submitDelta is the coordinator's delta path, reached from Submit before
-// resolve (a delta has no graph to resolve). Idempotent replay is checked
-// here; the result cache is not — the successor fingerprint is unknown
-// until a worker applies the delta, but the reply is cached under it, so
-// a later full upload of the same content hits.
-func (c *Coordinator) submitDelta(ctx context.Context, cr *serve.ColorRequest, rid, idemKey string, wire []byte) (*serve.ColorResponse, error) {
-	if cr.Gen != "" || cr.Graph != "" || cr.GraphCSRB64 != "" {
-		return nil, &BadRequestError{Err: fmt.Errorf("a delta request must not also carry a graph")}
-	}
-	baseFp, err := serve.ParseFingerprint(cr.BaseFingerprint)
-	if err != nil {
-		return nil, &BadRequestError{Err: err}
-	}
-	alg := gpucolor.AlgBaseline
-	if cr.Alg != "" {
-		if alg, err = gpucolor.ParseAlgorithm(cr.Alg); err != nil {
-			return nil, &BadRequestError{Err: err}
-		}
-	}
-
-	if res, ok := c.idem.get(idemKey); ok {
-		out := *res
-		out.RequestID = rid
-		out.IdempotentReplay = true
-		return &out, nil
-	}
-
+// submitDelta is the coordinator's delta path, reached from Submit once
+// serve.BuildRequest has parsed the base fingerprint and edit lists and
+// idempotent replay has missed. The result cache is not consulted — the
+// successor fingerprint is unknown until a worker applies the delta — but
+// the reply is cached under it, so a later full upload of the same
+// content hits.
+func (c *Coordinator) submitDelta(ctx context.Context, cr *serve.ColorRequest, req *serve.Request, rid, idemKey string, wire []byte) (*serve.ColorResponse, error) {
 	c.jobs.Add(1)
 	c.deltaJobs.Add(1)
-	key := resultKey{fp: baseFp, policy: policyKey(alg, cr.Seed, cr.Threshold)}
+	baseFp := req.BaseFingerprint
+	key := serve.KeyOf(req, baseFp, cr.Shards)
 	c.journalAccept(rid, idemKey, key, wire, ctx)
 
 	res, err := c.routeDelta(ctx, cr, rid, idemKey, baseFp)
@@ -137,24 +49,10 @@ func (c *Coordinator) submitDelta(ctx context.Context, cr *serve.ColorRequest, r
 		// Journal and cache under the successor's content fingerprint —
 		// that is the identity the coloring belongs to.
 		if sfp, perr := serve.ParseFingerprint(res.Fingerprint); perr == nil {
-			key.fp = sfp
+			key.FP = sfp
 		}
 	}
-	c.journalFinish(rid, idemKey, key, cr.NoCache, res, err)
-	if err != nil {
-		c.failed.Add(1)
-		return nil, err
-	}
-	res.RequestID = rid
-	if !cr.NoCache {
-		stored := *res
-		c.cache.put(key, &stored)
-	}
-	if idemKey != "" {
-		stored := *res
-		c.idem.put(idemKey, &stored)
-	}
-	return res, nil
+	return c.publish(rid, idemKey, key, cr.NoCache, res, err)
 }
 
 // routeDelta forwards a delta whole, preferring the recorded owner of the
@@ -174,7 +72,7 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, ri
 	for attempt := 0; attempt < c.cfg.RouteAttempts; attempt++ {
 		var m *member
 		var probe bool
-		if addr, ok := c.owners.get(baseFp); ok && attempt == 0 {
+		if addr, ok := c.owners.Get(baseFp); ok && attempt == 0 {
 			if om := c.reg.lookup(addr); om != nil && !exclude[om.id] && om.aliveAt(time.Now(), c.reg.expire) {
 				m = om
 				c.deltaOwnerHits.Add(1)
@@ -200,9 +98,9 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, ri
 			c.reg.observe(m, probe, true, 1, exec)
 			resp.Worker = m.addr
 			resp.Redispatched = attempt
-			c.owners.put(baseFp, m.addr)
+			c.owners.Put(baseFp, m.addr)
 			if sfp, perr := serve.ParseFingerprint(resp.Fingerprint); perr == nil {
-				c.owners.put(sfp, m.addr)
+				c.owners.Put(sfp, m.addr)
 			}
 			return resp, nil
 		}
@@ -215,7 +113,7 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, ri
 			// The hinted worker no longer holds the base (restart, LRU
 			// eviction). No replica will do better; surface the typed 404
 			// so the client re-uploads, and forget the stale hint.
-			c.owners.drop(baseFp)
+			c.owners.Remove(baseFp)
 			c.reg.observe(m, probe, true, 1, exec) // the worker is fine
 			return nil, err
 		}
@@ -231,7 +129,7 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, ri
 			return nil, err
 		}
 		exclude[m.id] = true
-		c.owners.drop(baseFp) // the owner is down; stop preferring it
+		c.owners.Remove(baseFp) // the owner is down; stop preferring it
 		c.routeFailovers.Add(1)
 	}
 	return nil, fmt.Errorf("cluster: delta route exhausted %d attempts: %w", c.cfg.RouteAttempts, lastErr)

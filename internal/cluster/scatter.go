@@ -3,10 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"gcolor/internal/graph"
@@ -14,125 +14,55 @@ import (
 	"gcolor/internal/shard"
 )
 
-// errScatterUnavailable is the internal "fall back to whole-graph
-// routing" signal: the job qualified for scatter but the fleet cannot
-// host one right now (fewer than two live workers).
-var errScatterUnavailable = errors.New("cluster: scatter unavailable")
-
-// scatter runs one job as a cross-worker scatter-gather: partition with
-// the edge-balanced splitter, POST one sub-job per shard to rendezvous-
-// chosen workers in parallel, barrier on the gather, and reconcile the
-// per-shard colorings with the bounded boundary repair loop — at the
-// coordinator, because only the coordinator holds the whole graph.
+// scatter runs one job as a cross-worker scatter-gather through
+// shard.ColorSharded — the same partition, fan-out, merge barrier and
+// boundary repair a server runs across its devices — with one sub-job
+// POSTed per shard to a rendezvous-chosen worker. The repair runs here, at
+// the coordinator, because only the coordinator holds the whole graph.
 //
 // Failover: a shard whose worker fails retryably is re-dispatched to a
 // different worker (exclude-failed), bounded by ShardAttempts — with the
 // default 2, exactly one re-dispatch. Sub-jobs are sent no-cache so
 // workers do not stash shard fragments under the subgraph's fingerprint;
 // the merged result lives only in the coordinator's cache.
-func (c *Coordinator) scatter(ctx context.Context, g *graph.Graph, cr *serve.ColorRequest, rid string, fp uint64) (*serve.ColorResponse, error) {
-	live := len(c.reg.alive())
-	if live < 2 {
-		return nil, errScatterUnavailable
-	}
-	k := c.cfg.ShardK
-	if cr.Shards >= 2 {
-		k = cr.Shards
-	}
-	if k <= 0 {
-		k = live
-	}
-	if k > c.cfg.MaxShards {
-		k = c.cfg.MaxShards
-	}
-	if k > g.NumVertices() {
-		k = g.NumVertices()
-	}
-	if k < 2 {
-		return nil, errScatterUnavailable
-	}
-	plan, err := shard.Partition(g, k, true)
-	if err != nil {
-		return nil, err
-	}
-
-	type shardOut struct {
-		colors     []int32
-		cycles     int64
-		iterations int
-		attempts   int
-		err        error
-	}
-	outs := make([]shardOut, plan.K)
+func (c *Coordinator) scatter(ctx context.Context, g *graph.Graph, cr *serve.ColorRequest, rid string, fp uint64, k int) (*serve.ColorResponse, error) {
 	// Every shard dispatch is deadline-bounded even when the caller's
 	// context is not: a single hung worker must never hang the merge
-	// barrier below.
-	ctx, wcancel := c.workerCtx(ctx)
-	defer wcancel()
-	sctx, cancel := context.WithCancel(ctx)
+	// barrier.
+	ctx, cancel := c.workerCtx(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := range plan.Subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			colors, cycles, iters, attempts, err := c.dispatchShard(sctx, plan.Subs[i], cr, rid, fp, i, plan.K)
-			outs[i] = shardOut{colors: colors, cycles: cycles, iterations: iters, attempts: attempts, err: err}
-			if err != nil {
-				cancel() // a lost shard fails the merge; reel the siblings in
-			}
-		}(i)
-	}
-	wg.Wait() // merge barrier: every shard decided
-
-	// Prefer the error of the shard that actually failed over siblings
-	// that merely observed the cancellation.
-	var firstErr error
-	redispatched := 0
-	for i := range outs {
-		if outs[i].attempts > 1 {
-			redispatched += outs[i].attempts - 1
-		}
-		e := outs[i].err
-		if e == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(e, context.Canceled)) {
-			firstErr = e
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	parts := make([][]int32, plan.K)
-	for i := range outs {
-		parts[i] = outs[i].colors
-	}
-	colors, st, err := shard.MergeRepair(g, plan, parts, cr.Seed, c.cfg.MaxRepairRounds, cr.NoCPUFallback)
+	iters := make([]int, k)
+	var redone atomic.Int64
+	sr, err := shard.ColorSharded(ctx, g, shard.Options{
+		K:               k,
+		Seed:            cr.Seed,
+		MaxRepairRounds: c.cfg.Shard.MaxRepairRounds,
+		NoFallback:      cr.NoCPUFallback,
+	}, func(ctx context.Context, i int, sub *graph.Graph) ([]int32, int64, error) {
+		colors, cycles, it, attempts, err := c.dispatchShard(ctx, sub, cr, rid, fp, i, k)
+		iters[i] = it
+		redone.Add(int64(attempts - 1))
+		return colors, cycles, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &serve.ColorResponse{
-		Colors:            colors,
-		NumColors:         st.NumColors,
+	st := sr.Repair
+	return &serve.ColorResponse{
+		Colors:            sr.Colors,
+		NumColors:         sr.NumColors,
 		Vertices:          g.NumVertices(),
 		Edges:             g.NumEdges(),
-		Shards:            plan.K,
+		Cycles:            sr.CyclesTotal, // serial-equivalent fleet work
+		Iterations:        slices.Max(iters),
+		Shards:            sr.K,
 		ShardConflicts:    st.Conflicts,
 		ShardRepairRounds: st.Rounds,
 		ShardRecolored:    st.Recolored,
 		Device:            -1, // the job spanned several workers
 		Scattered:         true,
-		Redispatched:      redispatched,
-	}
-	for i := range outs {
-		res.Cycles += outs[i].cycles // serial-equivalent fleet work
-		if outs[i].iterations > res.Iterations {
-			res.Iterations = outs[i].iterations
-		}
-	}
-	return res, nil
+		Redispatched:      int(redone.Load()),
+	}, nil
 }
 
 // dispatchShard sends one shard sub-job, failing over across workers up

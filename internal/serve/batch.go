@@ -272,11 +272,11 @@ func (s *Server) finishBatchMembers(members []*job, resps []*Response) {
 	}
 	for i, j := range members {
 		s.reg.Counter("completed_total").Inc()
-		s.idem.put(j.req.IdemKey, resps[i], j.req.NoCache, j.key.policy)
+		s.idemPut(j.req, resps[i], j.key)
 		if !j.req.NoCache {
 			// Cache before dropping the flight, as in runJob: a request
 			// arriving between the two sees either the flight or the cache.
-			s.cache.put(j.key, resps[i])
+			s.cache.Put(j.key, resps[i])
 			s.dropInflight(j.key)
 		}
 		j.fl.complete(resps[i], nil)

@@ -1,201 +1,39 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
-// cacheKey identifies a (graph content, coloring policy) pair: the graph
+// CacheKey identifies a (graph content, coloring policy) pair: the graph
 // fingerprint plus the folded request knobs that can change the coloring.
-// The effective shard count is part of the policy fold — a K-shard run and
-// a single-device run of the same graph produce different (both proper)
-// colorings, and callers pinning Shards expect the one they asked for.
-type cacheKey struct {
-	fp     uint64
-	policy uint64
+// It keys a server's result cache, coalescing map and journal records, and
+// a cluster coordinator's merged-result cache.
+type CacheKey struct {
+	FP     uint64
+	Policy uint64
 }
 
-func keyOf(req *Request, fp uint64, shards int) cacheKey {
+// KeyOf derives the cache key of req on the graph with fingerprint fp. The
+// shard count is part of the policy fold — a K-shard run and a
+// single-device run of the same graph produce different (both proper)
+// colorings, and callers pinning Shards expect the one they asked for. A
+// server folds the effective shard count; a coordinator, whose fleet size
+// changes under it, folds the request's Shards pin.
+func KeyOf(req *Request, fp uint64, shards int) CacheKey {
 	k := req.policyKey()
 	k ^= uint64(uint32(shards))
 	k *= 0x100000001b3
-	return cacheKey{fp: fp, policy: k}
+	return CacheKey{FP: fp, Policy: k}
 }
 
-// resultCache is a fixed-capacity LRU of completed responses. Stored
-// responses are treated as immutable: lookups return the same *Response to
-// every hit, so callers must not mutate the Colors slice. Evictions are
-// counted (they used to be silent) so /metricsz can report churn.
-type resultCache struct {
-	mu     sync.Mutex
-	cap    int
-	order  *list.List // front = most recent; values are *cacheEntry
-	byKey  map[cacheKey]*list.Element
-	evicts int64
-}
-
-type cacheEntry struct {
-	key cacheKey
-	res *Response
-}
-
-func newResultCache(capacity int) *resultCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &resultCache{
-		cap:   capacity,
-		order: list.New(),
-		byKey: make(map[cacheKey]*list.Element),
-	}
-}
-
-// get returns the cached response for key, refreshing its recency.
-func (c *resultCache) get(key cacheKey) (*Response, bool) {
-	if c.cap == 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
-// put inserts or refreshes key, evicting the least recently used entry
-// beyond capacity.
-func (c *resultCache) put(key cacheKey, res *Response) {
-	if c.cap == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.byKey, el.Value.(*cacheEntry).key)
-		c.evicts++
-	}
-}
-
-// len returns the number of cached entries.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// evictions returns the lifetime eviction count.
-func (c *resultCache) evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicts
-}
-
-// export snapshots every entry, least recently used first, so replaying
-// the exported list through put reproduces the recency order. Used by
-// journal snapshot compaction.
-func (c *resultCache) export() []cacheExport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cacheExport, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, cacheExport{key: e.key, res: e.res})
-	}
-	return out
-}
-
-// cacheExport is one exported result-cache entry.
-type cacheExport struct {
-	key cacheKey
-	res *Response
-}
-
-// idemCache is a fixed-capacity LRU from client Idempotency-Key to the
-// completed response that key produced. It is consulted before the result
-// cache — even for NoCache requests, since an idempotent retry explicitly
-// asks for the stored answer — and is warm-started from journal
-// completion records, which is what makes retries safe across restarts.
-type idemCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *idemEntry
-	byKey map[string]*list.Element
-}
-
+// idemEntry is the idempotency map's value: the response a client
+// Idempotency-Key produced, with what journal snapshots need to re-key it.
+// The map is consulted before the result cache — even for NoCache
+// requests, since an idempotent retry explicitly asks for the stored
+// answer — and is warm-started from journal completion records, which is
+// what makes retries safe across restarts.
 type idemEntry struct {
-	key     string
 	res     *Response
 	noCache bool   // the producing request bypassed the result cache
 	pk      uint64 // the producing request's policy key (journal snapshots)
-}
-
-func newIdemCache(capacity int) *idemCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &idemCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *idemCache) get(key string) (*Response, bool) {
-	if c.cap == 0 || key == "" {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*idemEntry).res, true
-}
-
-func (c *idemCache) put(key string, res *Response, noCache bool, pk uint64) {
-	if c.cap == 0 || key == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*idemEntry)
-		e.res, e.noCache, e.pk = res, noCache, pk
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&idemEntry{key: key, res: res, noCache: noCache, pk: pk})
-	for c.order.Len() > c.cap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.byKey, el.Value.(*idemEntry).key)
-	}
-}
-
-func (c *idemCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// export snapshots every entry, least recently used first.
-func (c *idemCache) export() []idemEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]idemEntry, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*idemEntry))
-	}
-	return out
 }
 
 // flight is one in-flight execution that any number of duplicate requests

@@ -1,16 +1,17 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"gcolor/internal/color"
 	"gcolor/internal/graph"
+	"gcolor/internal/lru"
 )
 
 // This file is the incremental coloring engine: the versioned resident
@@ -92,15 +93,12 @@ func ParseFingerprint(s string) (uint64, error) {
 	return fp, nil
 }
 
-// versionStore is the fixed-capacity LRU of resident graph versions:
-// fingerprint -> (graph, proper coloring). Entries are immutable once
-// stored (the coloring is copied in, and readers copy out), so lookups can
-// hand back the entry without further locking.
+// versionStore is the LRU of resident graph versions: fingerprint ->
+// (graph, proper coloring). Entries are immutable once stored (the
+// coloring is copied in, and readers copy out), so lookups can hand back
+// the entry without further locking.
 type versionStore struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *versionEntry
-	byFp  map[uint64]*list.Element
+	*lru.Cache[uint64, *versionEntry]
 }
 
 type versionEntry struct {
@@ -109,69 +107,14 @@ type versionEntry struct {
 	colors []int32
 }
 
-func newVersionStore(capacity int) *versionStore {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &versionStore{cap: capacity, order: list.New(), byFp: make(map[uint64]*list.Element)}
-}
-
-func (c *versionStore) get(fp uint64) (*versionEntry, bool) {
-	if c.cap == 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byFp[fp]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*versionEntry), true
-}
-
 // put pins (or refreshes) a version. The coloring is copied; the graph is
 // shared (Graph is immutable). Colorings that do not match the graph are
 // refused — a truncated journal record must not poison the chain.
-func (c *versionStore) put(fp uint64, g *graph.Graph, colors []int32) {
-	if c.cap == 0 || g == nil || len(colors) != g.NumVertices() {
+func (c versionStore) put(fp uint64, g *graph.Graph, colors []int32) {
+	if g == nil || len(colors) != g.NumVertices() {
 		return
 	}
-	stored := make([]int32, len(colors))
-	copy(stored, colors)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byFp[fp]; ok {
-		e := el.Value.(*versionEntry)
-		e.g, e.colors = g, stored
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byFp[fp] = c.order.PushFront(&versionEntry{fp: fp, g: g, colors: stored})
-	for c.order.Len() > c.cap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.byFp, el.Value.(*versionEntry).fp)
-	}
-}
-
-func (c *versionStore) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// export snapshots every version, least recently used first, so replaying
-// the list through put reproduces the recency order. Used by journal
-// snapshot compaction.
-func (c *versionStore) export() []*versionEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*versionEntry, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, el.Value.(*versionEntry))
-	}
-	return out
+	c.Put(fp, &versionEntry{fp: fp, g: g, colors: slices.Clone(colors)})
 }
 
 // deltaScratch pools the frontier-recolor buffers: a warm steady-state
@@ -195,18 +138,11 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	}
 
 	// Idempotent replay first, exactly as in Submit — and through drain.
-	if res, ok := s.idem.get(req.IdemKey); ok {
-		s.reg.Counter("idem_hits_total").Inc()
-		hit := cloneHit(res)
-		hit.Cached = true
-		hit.IdempotentReplay = true
-		hit.Device = -1
-		hit.Wait, hit.Exec = 0, 0
-		hit.RequestID = req.RequestID
+	if hit, ok := s.idemReplay(req); ok {
 		return hit, nil
 	}
 
-	base, ok := s.versions.get(req.BaseFingerprint)
+	base, ok := s.versions.Get(req.BaseFingerprint)
 	if !ok {
 		s.reg.Counter("delta_unknown_base_total").Inc()
 		return nil, &UnknownBaseError{Fingerprint: req.BaseFingerprint}
@@ -222,21 +158,17 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	req.Graph = ng
 	req.Fingerprint = fp
 	req.Resident = true
-	shards := s.effectiveShards(req)
-	key := keyOf(req, fp, shards)
+	shards := s.cfg.Shard.Count(ng, req.Shards, s.pool.Size())
+	key := KeyOf(req, fp, shards)
 	if !req.NoCache {
-		if res, ok := s.cache.get(key); ok {
+		if res, ok := s.cache.Get(key); ok {
 			s.reg.Counter("cache_hits").Inc()
 			s.versions.put(fp, ng, res.Colors) // re-pin: the chain continues
-			hit := cloneHit(res)
-			hit.Cached = true
+			hit := cacheHit(res, req.RequestID)
 			hit.Delta = true
 			hit.FrontierSize = len(frontier)
 			hit.Vertices = ng.NumVertices()
 			hit.Edges = ng.NumEdges()
-			hit.Device = -1
-			hit.Wait, hit.Exec = 0, 0
-			hit.RequestID = req.RequestID
 			return hit, nil
 		}
 	}
@@ -293,9 +225,9 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	}
 	s.versions.put(fp, ng, colors)
 	if !req.NoCache {
-		s.cache.put(key, res)
+		s.cache.Put(key, res)
 	}
-	s.idem.put(req.IdemKey, res, req.NoCache, key.policy)
+	s.idemPut(req, res, key)
 	// The stored res is canonical (cache + idem share it); the caller gets
 	// its own Colors copy, like every other path out of Submit.
 	return cloneHit(res), nil
@@ -305,7 +237,7 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 // normal admission path (queue, devices, sharding, batching) and pins the
 // result. The caller still gets delta evidence: Delta + DeltaFallback set,
 // FrontierSize reporting why the incremental path was not taken.
-func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int, ng *graph.Graph, frontier int) (*Response, error) {
+func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key CacheKey, shards int, ng *graph.Graph, frontier int) (*Response, error) {
 	s.reg.Counter("delta_fallbacks_total").Inc()
 	res, err := s.admit(ctx, req, fp, key, shards)
 	if err != nil {
@@ -323,7 +255,7 @@ func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key
 // journalDone writes the completion record for a request settled outside
 // the job queue (the incremental delta path) and clears its pendAccepts
 // mirror — the counterpart of journalFinish for jobless completions.
-func (s *Server) journalDone(req *Request, key cacheKey, res *Response) {
+func (s *Server) journalDone(req *Request, key CacheKey, res *Response) {
 	s.pendMu.Lock()
 	delete(s.pendAccepts, req.RequestID)
 	s.pendMu.Unlock()

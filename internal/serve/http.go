@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/rand"
 	"encoding/base64"
@@ -12,13 +11,14 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
+	"gcolor/internal/lru"
 )
 
 // ColorRequest is the JSON body of POST /color. Exactly one of Graph
@@ -124,6 +124,15 @@ type ColorResponse struct {
 	Redispatched int    `json:"redispatched,omitempty"`
 }
 
+// Clone returns a copy of r whose Colors does not alias r's: the
+// cloneHit rule for the wire form a cluster coordinator caches, so a
+// caller mutating its reply cannot corrupt a later hit.
+func (r *ColorResponse) Clone() *ColorResponse {
+	c := *r
+	c.Colors = slices.Clone(r.Colors)
+	return &c
+}
+
 // errorResponse is the JSON body of any non-2xx /color reply.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -172,51 +181,30 @@ func sanitizeRequestID(id string) string {
 	return id
 }
 
-// specCache memoizes generator-spec graphs so a hot spec ("rmat:12:8:1"
+// SpecCache memoizes generator-spec graphs so a hot spec ("rmat:12:8:1"
 // requested by every gcload worker) is generated once, not per request.
 // Inline-uploaded graphs are not memoized — their parse cost is the upload
 // cost.
-type specCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List
-	byKey map[string]*list.Element
+type SpecCache struct {
+	graphs *lru.Cache[string, *graph.Graph]
 }
 
-type specEntry struct {
-	key string
-	g   *graph.Graph
+// NewSpecCache returns a spec cache holding at most capacity graphs.
+func NewSpecCache(capacity int) *SpecCache {
+	return &SpecCache{graphs: lru.New[string, *graph.Graph](capacity)}
 }
 
-func newSpecCache(capacity int) *specCache {
-	return &specCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *specCache) get(spec string) (*graph.Graph, error) {
-	c.mu.Lock()
-	if el, ok := c.byKey[spec]; ok {
-		c.order.MoveToFront(el)
-		g := el.Value.(*specEntry).g
-		c.mu.Unlock()
+func (c *SpecCache) get(spec string) (*graph.Graph, error) {
+	if g, ok := c.graphs.Get(spec); ok {
 		return g, nil
 	}
-	c.mu.Unlock()
-	// Generate outside the lock; duplicate generation on a race is
-	// harmless (same deterministic graph) and rarer than lock contention.
+	// Generate without holding the cache; duplicate generation on a race
+	// is harmless (same deterministic graph) and rarer than contention.
 	g, err := ParseGraphSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if _, ok := c.byKey[spec]; !ok {
-		c.byKey[spec] = c.order.PushFront(&specEntry{key: spec, g: g})
-		for c.order.Len() > c.cap {
-			el := c.order.Back()
-			c.order.Remove(el)
-			delete(c.byKey, el.Value.(*specEntry).key)
-		}
-	}
-	c.mu.Unlock()
+	c.graphs.Put(spec, g)
 	return g, nil
 }
 
@@ -263,7 +251,7 @@ func HandlerWith(s *Server, hc HandlerConfig) http.Handler {
 		hc.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	mux := http.NewServeMux()
-	specs := newSpecCache(64)
+	specs := NewSpecCache(64)
 	mux.HandleFunc("POST /color", func(w http.ResponseWriter, r *http.Request) {
 		handleColor(s, specs, hc, w, r)
 	})
@@ -371,7 +359,7 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseWriter, r *http.Request) {
+func handleColor(s *Server, specs *SpecCache, hc HandlerConfig, w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	w.Header().Set("X-Request-ID", rid)
 	if hc.Epoch != nil {
@@ -474,7 +462,7 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 			writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode: %v", err), rid)
 			return
 		}
-		req, g, err = buildRequest(&cr, specs)
+		req, g, err = BuildRequest(&cr, specs)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
 			return
@@ -611,10 +599,12 @@ func colorRequestFromQuery(cr *ColorRequest, q url.Values) error {
 	return nil
 }
 
-// buildRequest converts the wire request to a serve.Request. Delta
-// requests (base_fingerprint set) return a nil graph: the server resolves
-// the base version and builds the successor itself.
-func buildRequest(cr *ColorRequest, specs *specCache) (*Request, *graph.Graph, error) {
+// BuildRequest converts the wire request to a serve.Request, resolving
+// generator specs through specs. Delta requests (base_fingerprint set)
+// return a nil graph: the server resolves the base version and builds the
+// successor itself. A cluster coordinator parses its requests here too, so
+// both front doors accept exactly the same bodies.
+func BuildRequest(cr *ColorRequest, specs *SpecCache) (*Request, *graph.Graph, error) {
 	var g *graph.Graph
 	var fp uint64
 	var err error

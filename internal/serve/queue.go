@@ -33,7 +33,7 @@ type job struct {
 	ctx       context.Context
 	req       *Request
 	fp        uint64
-	key       cacheKey
+	key       CacheKey
 	shards    int  // effective shard count resolved at admission (>= 1)
 	journaled bool // an accept record was journaled; completion must be too
 	enqueued  time.Time

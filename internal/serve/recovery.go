@@ -24,12 +24,12 @@ import (
 // and mirrors the accept into pendAccepts for the compaction source. A
 // journal write failure is counted, not fatal: the server keeps serving,
 // it just cannot promise replay for this job.
-func (s *Server) journalAccept(ctx context.Context, req *Request, key cacheKey) {
+func (s *Server) journalAccept(ctx context.Context, req *Request, key CacheKey) {
 	rec := journal.AcceptRecord{
 		ID:             req.RequestID,
 		IdemKey:        req.IdemKey,
-		Fingerprint:    key.fp,
-		PolicyKey:      key.policy,
+		Fingerprint:    key.FP,
+		PolicyKey:      key.Policy,
 		Priority:       int(req.Priority),
 		AcceptedUnixMS: time.Now().UnixMilli(),
 		Resident:       req.Resident,
@@ -60,12 +60,12 @@ func (s *Server) journalFinish(j *job, res *Response, err error) {
 }
 
 // completionRecord builds the journal completion for one finished job.
-func completionRecord(id, idem string, key cacheKey, res *Response, err error, noCache bool) journal.CompleteRecord {
+func completionRecord(id, idem string, key CacheKey, res *Response, err error, noCache bool) journal.CompleteRecord {
 	rec := journal.CompleteRecord{
 		ID:              id,
 		IdemKey:         idem,
-		Fingerprint:     key.fp,
-		PolicyKey:       key.policy,
+		Fingerprint:     key.FP,
+		PolicyKey:       key.Policy,
 		Disposition:     dispositionFor(err),
 		NoCache:         noCache,
 		CompletedUnixMS: time.Now().UnixMilli(),
@@ -117,16 +117,14 @@ func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRec
 
 	var comps []journal.CompleteRecord
 	now := time.Now().UnixMilli()
-	for _, e := range s.cache.export() {
-		rec := completionRecord("", "", e.key, e.res, nil, false)
+	for _, e := range s.cache.Export() {
+		rec := completionRecord("", "", e.Key, e.Value, nil, false)
 		rec.CompletedUnixMS = now
 		comps = append(comps, rec)
 	}
-	for _, e := range s.idem.export() {
-		if e.res == nil || e.key == "" {
-			continue
-		}
-		rec := completionRecord("", e.key, cacheKey{fp: e.res.Fingerprint, policy: e.pk}, e.res, nil, e.noCache)
+	for _, e := range s.idem.Export() {
+		v := e.Value
+		rec := completionRecord("", e.Key, CacheKey{FP: v.res.Fingerprint, Policy: v.pk}, v.res, nil, v.noCache)
 		rec.CompletedUnixMS = now
 		comps = append(comps, rec)
 	}
@@ -136,7 +134,8 @@ func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRec
 	// graph (not the delta that produced it), so each version rebuilds on
 	// replay without needing its predecessors. Least recently used first,
 	// so re-pinning them in order reproduces the store's recency.
-	for _, v := range s.versions.export() {
+	for _, e := range s.versions.Export() {
+		v := e.Value
 		env := ColorRequest{
 			GraphCSRB64: base64.StdEncoding.EncodeToString(graph.EncodeWireCSR(v.g)),
 			Resident:    true,
@@ -195,11 +194,11 @@ func (s *Server) applyRecovery(rec *journal.Recovery) {
 			Device:      -1,
 		}
 		if !c.NoCache {
-			s.cache.put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, res)
+			s.cache.Put(CacheKey{FP: c.Fingerprint, Policy: c.PolicyKey}, res)
 			s.warmCache++
 		}
 		if c.IdemKey != "" {
-			s.idem.put(c.IdemKey, res, c.NoCache, c.PolicyKey)
+			s.idem.Put(c.IdemKey, idemEntry{res: res, noCache: c.NoCache, pk: c.PolicyKey})
 			s.warmIdem++
 		}
 	}
@@ -207,7 +206,7 @@ func (s *Server) applyRecovery(rec *journal.Recovery) {
 	// journal order: snapshot-exported versions are self-contained (full
 	// graph in the accept's wire form), and a live delta record replays
 	// against the base version the records before it already rebuilt.
-	specs := newSpecCache(8)
+	specs := NewSpecCache(8)
 	for i := range rec.Settled {
 		if s.warmVersion(&rec.Settled[i], specs) {
 			s.warmVersions++
@@ -239,7 +238,7 @@ func (s *Server) applyRecovery(rec *journal.Recovery) {
 // base for live records. Failures (undecodable wire, evicted base, length
 // mismatch) skip the version; a later delta against it will report
 // unknown base and the client re-uploads.
-func (s *Server) warmVersion(sv *journal.SettledVersion, specs *specCache) bool {
+func (s *Server) warmVersion(sv *journal.SettledVersion, specs *SpecCache) bool {
 	colors, err := journal.DecodeColors(sv.Complete.ColorsB64)
 	if err != nil || len(colors) == 0 {
 		return false
@@ -254,7 +253,7 @@ func (s *Server) warmVersion(sv *journal.SettledVersion, specs *specCache) bool 
 		if err != nil {
 			return false
 		}
-		base, ok := s.versions.get(baseFp)
+		base, ok := s.versions.Get(baseFp)
 		if !ok {
 			return false
 		}
@@ -268,7 +267,7 @@ func (s *Server) warmVersion(sv *journal.SettledVersion, specs *specCache) bool 
 		}
 		g = ng
 	} else {
-		_, rg, err := buildRequest(&cr, specs)
+		_, rg, err := BuildRequest(&cr, specs)
 		if err != nil || rg == nil {
 			return false
 		}
@@ -286,7 +285,7 @@ func (s *Server) warmVersion(sv *journal.SettledVersion, specs *specCache) bool 
 // one finishJob wrote, which replay dedupes — so the accept can never
 // stay pending across another restart.
 func (s *Server) replayOne(a *journal.AcceptRecord) {
-	key := cacheKey{fp: a.Fingerprint, policy: a.PolicyKey}
+	key := CacheKey{FP: a.Fingerprint, Policy: a.PolicyKey}
 	settle := func(res *Response, err error, noCache bool) {
 		rec := completionRecord(a.ID, a.IdemKey, key, res, err, noCache)
 		if aerr := s.jrnl.AppendComplete(rec); aerr != nil {
@@ -308,7 +307,7 @@ func (s *Server) replayOne(a *journal.AcceptRecord) {
 		settle(nil, errors.New("serve: replay: unreplayable accept record"), true)
 		return
 	}
-	req, _, err := buildRequest(&cr, newSpecCache(8))
+	req, _, err := BuildRequest(&cr, NewSpecCache(8))
 	if err != nil {
 		s.reg.Counter("replay_failed_total").Inc()
 		settle(nil, err, true)

@@ -175,7 +175,7 @@ func TestReplayPendingAfterCrash(t *testing.T) {
 
 	// The replayed result is servable: same request hits the cache, and
 	// the idempotency key recorded pre-crash answers retries.
-	req, g, err := buildRequest(&ColorRequest{Gen: "grid:7:7"}, newSpecCache(4))
+	req, g, err := BuildRequest(&ColorRequest{Gen: "grid:7:7"}, NewSpecCache(4))
 	if err != nil || g == nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReplayPendingAfterCrash(t *testing.T) {
 	if !res.Cached {
 		t.Fatalf("replayed job's result not cached: %+v", res)
 	}
-	req2, _, _ := buildRequest(&ColorRequest{Gen: "grid:7:7"}, newSpecCache(4))
+	req2, _, _ := BuildRequest(&ColorRequest{Gen: "grid:7:7"}, NewSpecCache(4))
 	req2.IdemKey = "crash-idem"
 	res2, err := s.Submit(t.Context(), req2)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
 	"gcolor/internal/journal"
+	"gcolor/internal/lru"
 	"gcolor/internal/metrics"
 	"gcolor/internal/shard"
 )
@@ -111,8 +113,9 @@ func (c SelfHealConfig) withDefaults() SelfHealConfig {
 type ShardConfig struct {
 	// Disabled turns sharding off entirely; Request.Shards is ignored.
 	Disabled bool
-	// K is the shard count used when a request auto-shards (default: pool
-	// size, clamped to MaxShards).
+	// K is the shard count used when a request auto-shards (default: the
+	// pool size, or a coordinator's live worker count; clamped to
+	// MaxShards).
 	K int
 	// AutoVertices and AutoEdges are the graph-size thresholds at or above
 	// which a Shards=0 request auto-shards (defaults 8192 vertices /
@@ -127,15 +130,9 @@ type ShardConfig struct {
 	MaxShards int
 }
 
-func (c ShardConfig) withDefaults(devices int) ShardConfig {
+func (c ShardConfig) withDefaults() ShardConfig {
 	if c.MaxShards < 1 {
 		c.MaxShards = 16
-	}
-	if c.K < 1 {
-		c.K = devices
-	}
-	if c.K > c.MaxShards {
-		c.K = c.MaxShards
 	}
 	if c.AutoVertices == 0 {
 		c.AutoVertices = 8192
@@ -144,6 +141,35 @@ func (c ShardConfig) withDefaults(devices int) ShardConfig {
 		c.AutoEdges = 1 << 18
 	}
 	return c
+}
+
+// Count is the one shard-count rule, shared by a server (units = pool
+// size) and a cluster coordinator (units = live workers). It returns 1 when
+// sharding is off, fewer than two units exist, or the request pinned
+// single-unit execution (pin 1 or negative); a pinned pin >= 2 clamped to
+// MaxShards; and for pin 0 the configured K (default units, clamped to
+// MaxShards) once g crosses an auto threshold. The count never exceeds
+// g's vertex count.
+func (c ShardConfig) Count(g *graph.Graph, pin, units int) int {
+	c = c.withDefaults()
+	if c.Disabled || units < 2 || pin == 1 || pin < 0 {
+		return 1
+	}
+	k := pin
+	if k == 0 {
+		auto := c.AutoVertices > 0 && g.NumVertices() >= c.AutoVertices ||
+			c.AutoEdges > 0 && g.NumEdges() >= c.AutoEdges
+		if !auto {
+			return 1
+		}
+		if k = c.K; k < 1 {
+			k = units
+		}
+	}
+	if k = min(k, c.MaxShards, g.NumVertices()); k < 2 {
+		return 1
+	}
+	return k
 }
 
 // BatchConfig tunes block-diagonal kernel batching: compatible small
@@ -271,7 +297,6 @@ func (c Config) withDefaults() Config {
 		c.ReplayParallelism = 4
 	}
 	c.SelfHeal = c.SelfHeal.withDefaults()
-	c.Shard = c.Shard.withDefaults(c.Devices)
 	c.Batch = c.Batch.withDefaults()
 	c.Delta = c.Delta.withDefaults()
 	return c
@@ -287,9 +312,9 @@ type Server struct {
 	cfg      Config
 	pool     *DevicePool
 	queue    *jobQueue
-	cache    *resultCache
-	idem     *idemCache
-	versions *versionStore
+	cache    *lru.Cache[CacheKey, *Response] // immutable entries; hits get a cloneHit copy
+	idem     *lru.Cache[string, idemEntry]
+	versions versionStore
 	reg      *metrics.Registry
 	hedge    *hedgeTracker
 
@@ -310,7 +335,7 @@ type Server struct {
 	recDone      chan struct{}
 
 	mu       sync.Mutex
-	inflight map[cacheKey]*flight
+	inflight map[CacheKey]*flight
 
 	// batchRunHook, when set (tests only), intercepts the fused batch
 	// run's raw result so a test can fault individual members and exercise
@@ -345,15 +370,15 @@ func NewServer(cfg Config) *Server {
 		cfg:         cfg,
 		pool:        pool,
 		queue:       newJobQueue(cfg.QueueCapacity, cfg.ShedFraction),
-		cache:       newResultCache(cfg.CacheEntries),
-		idem:        newIdemCache(cfg.IdemEntries),
-		versions:    newVersionStore(cfg.Delta.Entries),
+		cache:       lru.New[CacheKey, *Response](cfg.CacheEntries),
+		idem:        lru.New[string, idemEntry](cfg.IdemEntries),
+		versions:    versionStore{lru.New[uint64, *versionEntry](cfg.Delta.Entries)},
 		reg:         metrics.NewRegistry(),
 		hedge:       newHedgeTracker(cfg.SelfHeal.HedgeMinSamples, cfg.SelfHeal.HedgeFloor, cfg.SelfHeal.HedgeMultiple),
 		jrnl:        cfg.Journal,
 		pendAccepts: make(map[string]journal.AcceptRecord),
 		recDone:     make(chan struct{}),
-		inflight:    make(map[cacheKey]*flight),
+		inflight:    make(map[CacheKey]*flight),
 		baseCtx:     ctx,
 		cancel:      cancel,
 		started:     time.Now(),
@@ -522,10 +547,39 @@ func (s *Server) Drain(timeout time.Duration) (DrainSummary, error) {
 // bad colorings forever" bug.
 func cloneHit(res *Response) *Response {
 	hit := *res
-	if hit.Colors != nil {
-		hit.Colors = append([]int32(nil), hit.Colors...)
-	}
+	hit.Colors = slices.Clone(hit.Colors)
 	return &hit
+}
+
+// cacheHit is the caller's copy of a stored response answered without a
+// queue or device.
+func cacheHit(res *Response, rid string) *Response {
+	hit := cloneHit(res)
+	hit.Cached = true
+	hit.Device = -1
+	hit.Wait, hit.Exec = 0, 0
+	hit.RequestID = rid
+	return hit
+}
+
+// idemReplay answers req from the idempotency map when its key is there.
+func (s *Server) idemReplay(req *Request) (*Response, bool) {
+	e, ok := s.idem.Get(req.IdemKey)
+	if !ok {
+		return nil, false
+	}
+	s.reg.Counter("idem_hits_total").Inc()
+	hit := cacheHit(e.res, req.RequestID)
+	hit.IdempotentReplay = true
+	return hit, true
+}
+
+// idemPut records a completed response under the request's
+// Idempotency-Key; requests without one leave no entry.
+func (s *Server) idemPut(req *Request, res *Response, key CacheKey) {
+	if req.IdemKey != "" {
+		s.idem.Put(req.IdemKey, idemEntry{res: res, noCache: req.NoCache, pk: key.Policy})
+	}
 }
 
 // Submit serves one request: idempotent replay, then the result cache,
@@ -554,35 +608,23 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 	if fp == 0 {
 		fp = req.Graph.Fingerprint()
 	}
-	shards := s.effectiveShards(req)
-	key := keyOf(req, fp, shards)
+	shards := s.cfg.Shard.Count(req.Graph, req.Shards, s.pool.Size())
+	key := KeyOf(req, fp, shards)
 
 	// Idempotent replay comes before everything — even NoCache — because
 	// a retry carrying an Idempotency-Key is explicitly asking for the
 	// answer its original request produced, wherever it now lives.
-	if res, ok := s.idem.get(req.IdemKey); ok {
-		s.reg.Counter("idem_hits_total").Inc()
-		hit := cloneHit(res)
-		hit.Cached = true
-		hit.IdempotentReplay = true
-		hit.Device = -1
-		hit.Wait, hit.Exec = 0, 0
-		hit.RequestID = req.RequestID
+	if hit, ok := s.idemReplay(req); ok {
 		return hit, nil
 	}
 
 	if !req.NoCache {
-		if res, ok := s.cache.get(key); ok {
+		if res, ok := s.cache.Get(key); ok {
 			s.reg.Counter("cache_hits").Inc()
 			if req.Resident {
 				s.versions.put(fp, req.Graph, res.Colors)
 			}
-			hit := cloneHit(res)
-			hit.Cached = true
-			hit.Device = -1
-			hit.Wait, hit.Exec = 0, 0
-			hit.RequestID = req.RequestID
-			return hit, nil
+			return cacheHit(res, req.RequestID), nil
 		}
 	}
 
@@ -599,7 +641,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 // admit runs the miss path: coalesce onto an in-flight execution of the
 // same key, or register a flight and enqueue. Factored out of Submit so
 // the delta fallback can reuse it after its own admission checks.
-func (s *Server) admit(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int) (*Response, error) {
+func (s *Server) admit(ctx context.Context, req *Request, fp uint64, key CacheKey, shards int) (*Response, error) {
 	if !req.NoCache {
 		s.reg.Counter("cache_misses").Inc()
 
@@ -624,42 +666,12 @@ func (s *Server) admit(ctx context.Context, req *Request, fp uint64, key cacheKe
 	return s.enqueue(ctx, req, fp, key, shards, fl, false)
 }
 
-// effectiveShards resolves a request's Shards knob against the server's
-// shard policy: 1 when sharding is off, the pool is a single device, or
-// the request pinned single-device; the request's K (clamped) when
-// pinned; the configured K when the graph crosses an auto threshold.
-func (s *Server) effectiveShards(req *Request) int {
-	c := s.cfg.Shard
-	if c.Disabled || s.pool.Size() < 2 || req.Shards == 1 || req.Shards < 0 {
-		return 1
-	}
-	k := req.Shards
-	if k == 0 {
-		auto := c.AutoVertices > 0 && req.Graph.NumVertices() >= c.AutoVertices ||
-			c.AutoEdges > 0 && req.Graph.NumEdges() >= c.AutoEdges
-		if !auto {
-			return 1
-		}
-		k = c.K
-	}
-	if k > c.MaxShards {
-		k = c.MaxShards
-	}
-	if n := req.Graph.NumVertices(); k > n {
-		k = n
-	}
-	if k < 2 {
-		return 1
-	}
-	return k
-}
-
 // enqueue admits the job (or fails with a typed admission error) and waits
 // for its flight. Replayable requests are journaled before the push — the
 // write-ahead invariant: a crash can never hold work the journal never
 // saw — and a rejected push journals a DispRejected completion so replay
 // does not resurrect work the caller was told to retry.
-func (s *Server) enqueue(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int, fl *flight, tracked bool) (*Response, error) {
+func (s *Server) enqueue(ctx context.Context, req *Request, fp uint64, key CacheKey, shards int, fl *flight, tracked bool) (*Response, error) {
 	j := &job{ctx: ctx, req: req, fp: fp, key: key, shards: shards, fl: fl}
 	if s.jrnl != nil && req.RequestID != "" && len(req.Wire) > 0 {
 		j.journaled = true
@@ -708,7 +720,7 @@ func (s *Server) wait(ctx context.Context, fl *flight, coalesced bool) (*Respons
 	}
 }
 
-func (s *Server) dropInflight(key cacheKey) {
+func (s *Server) dropInflight(key CacheKey) {
 	s.mu.Lock()
 	delete(s.inflight, key)
 	s.mu.Unlock()
@@ -932,7 +944,7 @@ func (s *Server) runJob(j *job, wait time.Duration) {
 	if !j.req.NoCache {
 		// Publish to the cache before releasing the flight so a request
 		// arriving between the two sees either the flight or the cache.
-		s.cache.put(j.key, res)
+		s.cache.Put(j.key, res)
 	}
 	s.finishJob(j, res, nil)
 }
@@ -955,69 +967,31 @@ func (s *Server) dispatchShard(ctx context.Context, j *job, i int, sub *graph.Gr
 	return nil, err
 }
 
-// runSharded executes one job as a scatter-gather: partition, fan out one
-// dispatch per shard (each with its own lease, hedging, and health
-// accounting), barrier on the merge, reconcile cross-shard conflicts with
-// the bounded boundary repair loop, and publish one aggregated response.
+// runSharded executes one job as a scatter-gather through
+// shard.ColorSharded: partition, one dispatch per shard (each with its own
+// lease, hedging, and health accounting), the merge barrier, and the
+// bounded boundary repair loop, published as one aggregated response.
 func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
-	plan, err := shard.Partition(j.req.Graph, j.shards, true)
-	if err != nil {
-		s.reg.Counter("failed_total").Inc()
-		s.finishJob(j, nil, err)
-		return
-	}
 	s.reg.Counter("shard_jobs_total").Inc()
-
-	type shardOut struct {
-		d   *dispatchResult
-		err error
-	}
-	outs := make([]shardOut, plan.K)
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range plan.Subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d, err := s.dispatchShard(sctx, j, i, plan.Subs[i])
-			if err != nil {
-				outs[i].err = fmt.Errorf("serve: shard %d/%d: %w", i, plan.K, err)
-				cancel() // a lost shard fails the merge; reel the siblings in
-				return
-			}
-			outs[i].d = d
-		}(i)
-	}
-	wg.Wait() // merge barrier: every shard decided, every lease released
-
-	// Prefer the error of the shard that actually failed over siblings
-	// that merely observed the cancellation.
-	var firstErr error
-	for _, o := range outs {
-		if o.err == nil {
-			continue
+	ds := make([]*dispatchResult, j.shards)
+	sr, err := shard.ColorSharded(ctx, j.req.Graph, shard.Options{
+		K:               j.shards,
+		Seed:            j.req.Seed,
+		MaxRepairRounds: s.cfg.Shard.MaxRepairRounds,
+		NoFallback:      j.req.NoCPUFallback,
+	}, func(ctx context.Context, i int, sub *graph.Graph) ([]int32, int64, error) {
+		d, err := s.dispatchShard(ctx, j, i, sub)
+		if err != nil {
+			return nil, 0, err
 		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(o.err, context.Canceled)) {
-			firstErr = o.err
-		}
-	}
-	if firstErr != nil {
-		s.failJob(j, firstErr)
-		return
-	}
-
-	parts := make([][]int32, plan.K)
-	for i, o := range outs {
-		parts[i] = o.d.out.Colors
-	}
-	colors, st, err := shard.MergeRepair(j.req.Graph, plan, parts, j.req.Seed,
-		s.cfg.Shard.MaxRepairRounds, j.req.NoCPUFallback)
+		ds[i] = d
+		return d.out.Colors, d.out.Cycles, nil
+	})
 	if err != nil {
-		s.reg.Counter("failed_total").Inc()
-		s.finishJob(j, nil, err)
+		s.failJob(j, err)
 		return
 	}
+	st := sr.Repair
 	s.reg.Counter("shard_conflicts_total").Add(int64(st.Conflicts))
 	s.reg.Counter("shard_repair_rounds_total").Add(int64(st.Rounds))
 	s.reg.Counter("shard_recolored_total").Add(int64(st.Recolored))
@@ -1027,32 +1001,24 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 
 	res := &Response{
 		Fingerprint:       j.fp,
-		Colors:            colors,
-		NumColors:         st.NumColors,
-		Shards:            plan.K,
+		Colors:            sr.Colors,
+		NumColors:         sr.NumColors,
+		Cycles:            sr.CyclesTotal, // serial-equivalent device work
+		Shards:            sr.K,
 		ShardConflicts:    st.Conflicts,
 		ShardRepairRounds: st.Rounds,
 		ShardRecolored:    st.Recolored,
 		Device:            -1, // the job spanned several devices
 		Wait:              wait,
 	}
-	for _, o := range outs {
-		out := o.d.out
-		res.Cycles += out.Cycles // serial-equivalent device work
-		if out.Iterations > res.Iterations {
-			res.Iterations = out.Iterations
-		}
+	for _, d := range ds[:sr.K] {
+		out := d.out
+		res.Iterations = max(res.Iterations, out.Iterations)
 		res.Attempts += out.Attempts
 		res.Repaired += out.Repaired
-		if out.Recovery > res.Recovery {
-			res.Recovery = out.Recovery // worst rung any shard needed
-		}
-		if o.d.hedged {
-			res.Hedged = true
-		}
-		if o.d.exec > res.Exec {
-			res.Exec = o.d.exec // parallel makespan
-		}
+		res.Recovery = max(res.Recovery, out.Recovery) // worst rung any shard needed
+		res.Hedged = res.Hedged || d.hedged
+		res.Exec = max(res.Exec, d.exec) // parallel makespan
 	}
 	if st.Fallback {
 		res.Recovery = gpucolor.RecoveryCPU
@@ -1062,7 +1028,7 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 		s.reg.Counter("recovered_total").Inc()
 	}
 	if !j.req.NoCache {
-		s.cache.put(j.key, res)
+		s.cache.Put(j.key, res)
 	}
 	s.finishJob(j, res, nil)
 }
@@ -1124,7 +1090,7 @@ func (s *Server) finishJob(j *job, res *Response, err error) {
 		s.journalFinish(j, res, err)
 	}
 	if err == nil && res != nil {
-		s.idem.put(j.req.IdemKey, res, j.req.NoCache, j.key.policy)
+		s.idemPut(j.req, res, j.key)
 	}
 	if !j.req.NoCache {
 		s.dropInflight(j.key)
@@ -1211,10 +1177,10 @@ func (s *Server) Stats() Stats {
 		Failed:          snap["failed_total"],
 		CacheHits:       snap["cache_hits"],
 		CacheMisses:     snap["cache_misses"],
-		CacheEntries:    s.cache.len(),
-		CacheEvictions:  s.cache.evictions(),
+		CacheEntries:    s.cache.Len(),
+		CacheEvictions:  s.cache.Evictions(),
 		IdemHits:        snap["idem_hits_total"],
-		IdemEntries:     s.idem.len(),
+		IdemEntries:     s.idem.Len(),
 		Coalesced:       snap["coalesced_total"],
 		Shed:            snap["shed_total"],
 		QueueFull:       snap["queue_full_total"],
@@ -1241,17 +1207,17 @@ func (s *Server) Stats() Stats {
 		DeltaHits:          snap["delta_hits"],
 		DeltaFallbacks:     snap["delta_fallbacks_total"],
 		DeltaUnknownBase:   snap["delta_unknown_base_total"],
-		VersionsResident:   s.versions.len(),
-		Hedges:          snap["hedges_total"],
-		HedgeWins:       snap["hedge_wins_total"],
-		HedgeLosses:     snap["hedge_losses_total"],
-		Quarantines:     s.pool.QuarantineCount(),
-		Readmitted:      s.pool.ReadmitCount(),
-		Probes:          s.pool.ProbeCount(),
-		ProbeFailures:   s.pool.ProbeFailCount(),
-		Quarantined:     s.pool.Quarantined(),
-		Draining:        s.Draining(),
-		DrainHandoff:    snap["drain_handoff_total"],
+		VersionsResident:   s.versions.Len(),
+		Hedges:             snap["hedges_total"],
+		HedgeWins:          snap["hedge_wins_total"],
+		HedgeLosses:        snap["hedge_losses_total"],
+		Quarantines:        s.pool.QuarantineCount(),
+		Readmitted:         s.pool.ReadmitCount(),
+		Probes:             s.pool.ProbeCount(),
+		ProbeFailures:      s.pool.ProbeFailCount(),
+		Quarantined:        s.pool.Quarantined(),
+		Draining:           s.Draining(),
+		DrainHandoff:       snap["drain_handoff_total"],
 	}
 	st.PerDevice = make([]DeviceStat, s.pool.Size())
 	for i := range st.PerDevice {

@@ -11,11 +11,12 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
-	"gcolor/internal/graph"
 	"gcolor/internal/gpucolor"
+	"gcolor/internal/graph"
 	"gcolor/internal/simt"
 )
 
@@ -64,9 +65,13 @@ type Result struct {
 type ColorFunc func(ctx context.Context, shard int, sub *graph.Graph) ([]int32, int64, error)
 
 // ColorSharded partitions g into opt.K shards, colors every shard
-// concurrently through fn, and reconciles the parts with MergeRepair.
-// The first shard error cancels the remaining shards and is returned
-// wrapped with its shard index. The returned coloring always verifies.
+// concurrently through fn, and reconciles the parts with MergeRepair. It
+// is the one scatter-gather of the serving stack: fn is a device dispatch
+// in a server and a worker dispatch in a cluster coordinator. The first
+// shard error cancels the remaining shards; after the merge barrier the
+// error of a shard that really failed is returned (wrapped with its shard
+// index) in preference to siblings that merely observed the
+// cancellation. The returned coloring always verifies.
 func ColorSharded(ctx context.Context, g *graph.Graph, opt Options, fn ColorFunc) (*Result, error) {
 	plan, err := Partition(g, opt.K, !opt.NoRefine)
 	if err != nil {
@@ -91,11 +96,15 @@ func ColorSharded(ctx context.Context, g *graph.Graph, opt Options, fn ColorFunc
 			parts[i], cycles[i] = colors, cyc
 		}(i)
 	}
-	wg.Wait()
+	wg.Wait() // merge barrier: every shard decided
+	var firstErr error
 	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if err != nil && (firstErr == nil || errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
+			firstErr = err
 		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return finish(g, plan, parts, cycles, opt)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gcolor/internal/color"
@@ -35,11 +36,11 @@ func testDevices(k int) []*simt.Device {
 
 func TestPartitionInvariants(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"rmat":  gen.RMAT(10, 16, gen.Graph500, 1),
-		"grid":  gen.Grid2D(32, 32),
-		"gnm":   gen.GNM(500, 2000, 7),
-		"tiny":  triangle(t),
-		"lone":  gen.GNM(5, 0, 1),
+		"rmat": gen.RMAT(10, 16, gen.Graph500, 1),
+		"grid": gen.Grid2D(32, 32),
+		"gnm":  gen.GNM(500, 2000, 7),
+		"tiny": triangle(t),
+		"lone": gen.GNM(5, 0, 1),
 	}
 	for name, g := range graphs {
 		for _, k := range []int{1, 2, 3, 4, 7} {
@@ -376,5 +377,27 @@ func TestColorDevicesNeedsDevices(t *testing.T) {
 	g := gen.Grid2D(4, 4)
 	if _, err := ColorDevices(context.Background(), nil, g, gpucolor.AlgBaseline, Options{K: 2}, gpucolor.ResilientOptions{}); err == nil {
 		t.Fatal("nil device list accepted")
+	}
+}
+
+// TestColorShardedPrefersRealFailure pins the merge-barrier error rule:
+// siblings that only observed the cancellation (here every shard indexed
+// before the failing one) never mask the shard that actually failed.
+func TestColorShardedPrefersRealFailure(t *testing.T) {
+	g := gen.Grid2D(16, 16)
+	boom := fmt.Errorf("kernel exploded")
+	_, err := ColorSharded(context.Background(), g, Options{K: 4, Seed: 1},
+		func(ctx context.Context, i int, sub *graph.Graph) ([]int32, int64, error) {
+			if i == 3 {
+				return nil, 0, boom
+			}
+			<-ctx.Done()
+			return nil, 0, ctx.Err()
+		})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failing shard's error", err)
+	}
+	if !strings.Contains(err.Error(), "shard 3/4") {
+		t.Fatalf("err = %v, want it to name shard 3/4", err)
 	}
 }
