@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"gcolor/internal/graph"
 )
@@ -228,15 +229,20 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 			targets = append(targets, int32(u), int32(v))
 		}
 	}
+	// A new vertex's targets are attached in ascending order: the order
+	// feeds later degree-proportional draws through targets, so attaching
+	// in map iteration order made one seed give a different graph per call.
+	chosen := make([]int32, 0, m)
 	for v := m + 1; v < n; v++ {
-		chosen := make(map[int32]bool, m)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			u := targets[rng.Intn(len(targets))]
-			if u != int32(v) {
-				chosen[u] = true
+			if u != int32(v) && !slices.Contains(chosen, u) {
+				chosen = append(chosen, u)
 			}
 		}
-		for u := range chosen {
+		slices.Sort(chosen)
+		for _, u := range chosen {
 			b.AddEdge(int32(v), u)
 			targets = append(targets, int32(v), u)
 		}

@@ -160,6 +160,23 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 }
 
+// One seed names one graph: repeated calls give the same fingerprint, in
+// the same process (where map iteration order used to differ call to
+// call).
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	for _, seed := range []int64{1, 9} {
+		want := BarabasiAlbert(512, 4, seed).Fingerprint()
+		for i := 0; i < 5; i++ {
+			if got := BarabasiAlbert(512, 4, seed).Fingerprint(); got != want {
+				t.Fatalf("seed %d call %d: fingerprint %016x, first call %016x", seed, i, got, want)
+			}
+		}
+	}
+	if BarabasiAlbert(512, 4, 1).Fingerprint() == BarabasiAlbert(512, 4, 2).Fingerprint() {
+		t.Error("different seeds produced identical graphs (suspicious)")
+	}
+}
+
 func TestBarabasiAlbertPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

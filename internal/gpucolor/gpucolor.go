@@ -182,6 +182,11 @@ type Result struct {
 	// was set); export it with the trace package.
 	Timeline []trace.Span
 
+	// Functional reports that the run executed on a simt.Functional
+	// device: Cycles and every counter above are zero because nothing was
+	// measured, not because the work was free.
+	Functional bool
+
 	busySum, busyMaxSum int64
 	width               int
 	ldsAccesses         int64 // pinned by TestAccountingGolden
@@ -284,6 +289,7 @@ func (r *runner) reset(g *graph.Graph, opt Options) {
 	r.res = &Result{
 		KernelCycles: make(map[string]int64),
 		CUBusy:       make([]int64, r.dev.NumCUs),
+		Functional:   r.dev.Functional(),
 		width:        r.dev.WavefrontWidth,
 	}
 }

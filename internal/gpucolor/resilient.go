@@ -200,7 +200,9 @@ type ResilientOptions struct {
 	Options
 
 	// CycleBudget aborts an attempt once its simulated cycles exceed the
-	// budget (checked at iteration boundaries); 0 means unlimited.
+	// budget (checked at iteration boundaries); 0 means unlimited. A
+	// positive budget runs the attempts accounted even on a Functional
+	// device.
 	CycleBudget int64
 	// StallWindow is the number of consecutive iterations the active
 	// count may fail to shrink before the watchdog declares livelock;
@@ -276,6 +278,12 @@ func ColorContext(ctx context.Context, dev *simt.Device, g *graph.Graph, a Algor
 // colorResilient is the recovery ladder over an arbitrary single-attempt
 // run function (a transient Color or a pooled Runner.Color).
 func colorResilient(ctx context.Context, dev *simt.Device, g *graph.Graph, opt ResilientOptions, run func(Options) (*Result, error)) (*Outcome, error) {
+	// The budget guard reads simulated cycles, which only accounted
+	// launches produce: a budgeted run is accounted whatever the mode.
+	if opt.CycleBudget > 0 && dev.Mode == simt.Functional {
+		dev.Mode = simt.Accounted
+		defer func() { dev.Mode = simt.Functional }()
+	}
 	out := &Outcome{}
 	baseSeed := opt.Options.seed()
 	for attempt := 0; attempt <= opt.retries(); attempt++ {

@@ -50,6 +50,9 @@ func (s *Server) batchEligible(j *job) bool {
 // must share. Seed is deliberately absent — per-member seeds ride in the
 // priority segments — and so are MaxRetries/NoCPUFallback, which only
 // matter on the solo-retry path, where each member's own values apply.
+// The device mode is in: one launch is either accounted or functional,
+// and an accounted member's cycles must not depend on whether a delta
+// fallback happened to be queued beside it.
 func batchClass(r *Request) uint64 {
 	k := uint64(0x517cc1b727220a95)
 	mix := func(v uint64) {
@@ -64,6 +67,7 @@ func batchClass(r *Request) uint64 {
 	} else {
 		mix(2)
 	}
+	mix(uint64(r.mode()))
 	return k
 }
 
@@ -157,7 +161,7 @@ func (s *Server) runBatch(members []*job) {
 	busy := s.reg.Gauge("devices_busy")
 	busy.Add(1)
 	dev := lease.Device()
-	dev.Policy = head.Policy
+	dev.Policy, dev.Mode = head.Policy, head.mode()
 	var faultsBefore int64
 	if dev.Fault != nil {
 		faultsBefore = dev.Fault.Stats().Injected()
@@ -185,7 +189,7 @@ func (s *Server) runBatch(members []*job) {
 	busy.Add(-1)
 	device := lease.Index()
 	lease.Release()
-	s.reg.Histogram("exec_us").Add(exec.Microseconds())
+	s.observeExec(exec, res != nil && res.Functional)
 	// The batch exec is deliberately not fed into the hedge tracker: its
 	// tail estimate calibrates solo dispatches, and a fused launch is
 	// structurally longer than the solo jobs it replaces.

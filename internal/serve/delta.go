@@ -237,8 +237,15 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 // normal admission path (queue, devices, sharding, batching) and pins the
 // result. The caller still gets delta evidence: Delta + DeltaFallback set,
 // FrontierSize reporting why the incremental path was not taken.
+//
+// The recolor runs functionally (simt.Functional): a delta stream needs
+// the coloring, not the paper's cycle evidence, so the reply reports zero
+// cycles like the frontier path, and the run skips the simulator's cost
+// accounting, most of its host time. A cycle budget or a device with a
+// fault injector still runs accounted.
 func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key CacheKey, shards int, ng *graph.Graph, frontier int) (*Response, error) {
 	s.reg.Counter("delta_fallbacks_total").Inc()
+	req.functional = true
 	res, err := s.admit(ctx, req, fp, key, shards)
 	if err != nil {
 		return nil, err

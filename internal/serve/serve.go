@@ -151,6 +151,19 @@ type Request struct {
 	// can rebuild and re-run it after a crash. Requests without Wire are
 	// served normally but cannot be replayed.
 	Wire json.RawMessage
+
+	// functional runs the job on a simt.Functional device: no cost
+	// accounting, zero cycles in the reply. Only the delta fallback sets
+	// it; every other job stays accounted.
+	functional bool
+}
+
+// mode is the device mode the request's job runs in.
+func (r *Request) mode() simt.Mode {
+	if r.functional {
+		return simt.Functional
+	}
+	return simt.Accounted
 }
 
 // policyKey folds every request knob that can change the *coloring* (not
@@ -185,8 +198,10 @@ type Response struct {
 	NumColors int
 
 	// Cycles and Iterations are the simulated-device evidence of the run
-	// that produced the coloring (zero for RecoveryCPU and for cache hits
-	// whose producing run degraded to the CPU).
+	// that produced the coloring. Cycles is zero when that run measured
+	// none: RecoveryCPU, a delta (frontier recolors run on the host,
+	// fallbacks on a functional device), and any cache or coalesced hit on
+	// such a result.
 	Cycles     int64
 	Iterations int
 

@@ -401,7 +401,7 @@ func NewServer(cfg Config) *Server {
 		"batches_total", "batched_jobs_total", "batch_member_retries_total",
 		"wire_binary_requests_total",
 		"delta_requests_total", "delta_hits", "delta_fallbacks_total",
-		"delta_unknown_base_total",
+		"delta_unknown_base_total", "functional_runs_total",
 	} {
 		s.reg.Counter(name)
 	}
@@ -409,6 +409,7 @@ func NewServer(cfg Config) *Server {
 	s.reg.Gauge("devices_busy")
 	s.reg.Histogram("wait_us")
 	s.reg.Histogram("exec_us")
+	s.reg.Histogram("exec_functional_us")
 	s.reg.Histogram("batch_size")
 	s.reg.Histogram("batch_linger_us")
 	s.reg.Histogram("delta_frontier_size")
@@ -1042,7 +1043,7 @@ func (s *Server) attempt(ctx context.Context, j *job, g *graph.Graph, seed uint3
 	busy := s.reg.Gauge("devices_busy")
 	busy.Add(1)
 	dev := lease.Device()
-	dev.Policy = j.req.Policy
+	dev.Policy, dev.Mode = j.req.Policy, j.req.mode()
 	var faultsBefore int64
 	if dev.Fault != nil {
 		faultsBefore = dev.Fault.Stats().Injected()
@@ -1071,7 +1072,7 @@ func (s *Server) attempt(ctx context.Context, j *job, g *graph.Graph, seed uint3
 	lease.Observe(kind, exec, faultsDelta)
 	busy.Add(-1)
 	lease.Release()
-	s.reg.Histogram("exec_us").Add(exec.Microseconds())
+	s.observeExec(exec, out != nil && out.Functional)
 	if err == nil {
 		s.hedge.observe(exec)
 	}
@@ -1079,6 +1080,19 @@ func (s *Server) attempt(ctx context.Context, j *job, g *graph.Graph, seed uint3
 		s.reg.Counter("attempts_canceled_total").Inc()
 	}
 	resCh <- attemptResult{out: out, err: err, device: lease.Index(), exec: exec, hedge: hedge}
+}
+
+// observeExec records one device run's host time: functional runs in
+// their own histogram, so exec_us keeps describing accounted runs and the
+// two can be compared. A run that failed before producing a result counts
+// as accounted.
+func (s *Server) observeExec(exec time.Duration, functional bool) {
+	if functional {
+		s.reg.Counter("functional_runs_total").Inc()
+		s.reg.Histogram("exec_functional_us").Add(exec.Microseconds())
+		return
+	}
+	s.reg.Histogram("exec_us").Add(exec.Microseconds())
 }
 
 // finishJob is the single completion choke point: journal the outcome
@@ -1130,8 +1144,13 @@ type Stats struct {
 	Utilization     float64 // fraction of device-time leased since start
 	WaitP50us       int64
 	WaitP99us       int64
-	ExecP50us       int64
+	ExecP50us       int64 // accounted device runs
 	ExecP99us       int64
+
+	// Functional (unaccounted) device runs: delta fallbacks.
+	FunctionalRuns      int64
+	ExecFunctionalP50us int64
+	ExecFunctionalP99us int64
 
 	// Sharded scatter-gather.
 	ShardJobs      int64 // jobs executed as K-shard scatter-gathers
@@ -1198,6 +1217,10 @@ func (s *Server) Stats() Stats {
 		ShardConflicts:  snap["shard_conflicts_total"],
 		ShardRecolored:  snap["shard_recolored_total"],
 		ShardFallbacks:  snap["shard_fallback_total"],
+
+		FunctionalRuns:      snap["functional_runs_total"],
+		ExecFunctionalP50us: s.reg.Histogram("exec_functional_us").Quantile(0.50),
+		ExecFunctionalP99us: s.reg.Histogram("exec_functional_us").Quantile(0.99),
 
 		Batches:            snap["batches_total"],
 		BatchedJobs:        snap["batched_jobs_total"],

@@ -112,28 +112,38 @@ func (w *wfAcc) cost(cm *CostModel, t *segTable) wfCost {
 // Ctx is the view a single work-item (lane) has of the device while a kernel
 // body runs: its ids plus accounted memory and ALU operations. A Ctx is only
 // valid for the duration of the kernel body invocation it is passed to.
+//
+// In a functional launch (see Mode) wf is nil and every operation below
+// only touches memory: the launch decides once, by leaving wf unset, and
+// each operation pays one nil test instead of its record.
 type Ctx struct {
 	// Global, Local and Group are the work-item's global id, id within its
 	// workgroup, and workgroup id.
 	Global, Local, Group int32
 
 	cm      *CostModel
-	wf      *wfAcc
+	wf      *wfAcc // nil in a functional launch
 	laneIdx int
 	fi      *FaultInjector // nil unless the device has an armed injector
 	launch  uint64         // device launch ordinal (fault-decision key)
 }
 
 // Op charges n ALU operations to this lane.
-func (c *Ctx) Op(n int) { c.wf.lanes[c.laneIdx].alu += int64(n) }
+func (c *Ctx) Op(n int) {
+	if w := c.wf; w != nil {
+		w.lanes[c.laneIdx].alu += int64(n)
+	}
+}
 
 // Ld loads element i of b, accounting one global memory access. With a
 // fault injector armed the load may return a bit-flipped value, and an
 // out-of-range index returns poison (0) instead of panicking.
 func (c *Ctx) Ld(b *BufInt32, i int32) int32 {
-	c.wf.record(c.laneIdx, b.id, i)
-	if c.fi != nil {
-		return c.fi.ld(c.launch, c.Global, c.wf.lanes[c.laneIdx].nAccess, b, i)
+	if w := c.wf; w != nil {
+		w.record(c.laneIdx, b.id, i)
+		if c.fi != nil {
+			return c.fi.ld(c.launch, c.Global, w.lanes[c.laneIdx].nAccess, b, i)
+		}
 	}
 	return b.data[i]
 }
@@ -144,9 +154,11 @@ func (c *Ctx) Ld(b *BufInt32, i int32) int32 {
 // fault injector armed an out-of-range store is dropped instead of
 // panicking.
 func (c *Ctx) St(b *BufInt32, i int32, v int32) {
-	c.wf.record(c.laneIdx, b.id, i)
-	if c.fi != nil && !c.fi.stOK(b, i) {
-		return
+	if w := c.wf; w != nil {
+		w.record(c.laneIdx, b.id, i)
+		if c.fi != nil && !c.fi.stOK(b, i) {
+			return
+		}
 	}
 	b.data[i] = v
 }
@@ -160,9 +172,11 @@ func (c *Ctx) St(b *BufInt32, i int32, v int32) {
 // kernels use this to read the live color array while winners publish
 // their colors in the same pass.
 func (c *Ctx) LdShared(b *BufInt32, i int32) int32 {
-	c.wf.record(c.laneIdx, b.id, i)
-	if c.fi != nil {
-		return c.fi.ldShared(c.launch, c.Global, c.wf.lanes[c.laneIdx].nAccess, b, i)
+	if w := c.wf; w != nil {
+		w.record(c.laneIdx, b.id, i)
+		if c.fi != nil {
+			return c.fi.ldShared(c.launch, c.Global, w.lanes[c.laneIdx].nAccess, b, i)
+		}
 	}
 	return atomic.LoadInt32(&b.data[i])
 }
@@ -170,9 +184,11 @@ func (c *Ctx) LdShared(b *BufInt32, i int32) int32 {
 // StShared is St with a relaxed-atomic host store, the writer side of the
 // LdShared contract. Cost accounting is identical to St.
 func (c *Ctx) StShared(b *BufInt32, i int32, v int32) {
-	c.wf.record(c.laneIdx, b.id, i)
-	if c.fi != nil && !c.fi.stOK(b, i) {
-		return
+	if w := c.wf; w != nil {
+		w.record(c.laneIdx, b.id, i)
+		if c.fi != nil && !c.fi.stOK(b, i) {
+			return
+		}
 	}
 	atomic.StoreInt32(&b.data[i], v)
 }

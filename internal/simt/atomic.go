@@ -8,8 +8,10 @@ import "sync/atomic"
 // memory access plus the per-atomic serialization charge.
 
 func (c *Ctx) atomicAccount(b *BufInt32, i int32) {
-	c.wf.record(c.laneIdx, b.id, i)
-	c.wf.lanes[c.laneIdx].atomics++
+	if w := c.wf; w != nil {
+		w.record(c.laneIdx, b.id, i)
+		w.lanes[c.laneIdx].atomics++
+	}
 }
 
 // atomicOK reports whether the accounted atomic may touch memory; with a

@@ -40,13 +40,16 @@ func (g *GroupCtx) Size() int { return g.size }
 
 // enter points the group's lane context at lane, which is lane l of
 // wavefront wf; callers advance wf and l alongside lane instead of
-// dividing per lane.
+// dividing per lane. In a functional launch wfs is nil and only the ids
+// change.
 func (g *GroupCtx) enter(wf, l, lane int) *Ctx {
-	acc := g.wfs[wf]
-	acc.lanes[l].active = true
 	c := &g.ctx
 	c.Global, c.Local, c.Group = g.id*int32(g.size)+int32(lane), int32(lane), g.id
-	c.wf, c.laneIdx = acc, l
+	if g.wfs != nil {
+		acc := g.wfs[wf]
+		acc.lanes[l].active = true
+		c.wf, c.laneIdx = acc, l
+	}
 	return c
 }
 
@@ -118,8 +121,11 @@ func (g *GroupCtx) Barrier() {
 // device pools and may be handed back with Device.Recycle.
 func (d *Device) RunCoop(name string, groups int, f CoopFunc) *RunResult {
 	rr := d.getRunResult()
-	d.execCoopGroups(&rr.Stats, name, groups, d.launches.Add(1), f)
-	rr.Sched = SimulateSchedule(d, rr.Stats.GroupCost, d.Policy)
+	fn := d.Functional()
+	d.execCoopGroups(&rr.Stats, name, groups, d.launches.Add(1), f, fn)
+	if !fn {
+		rr.Sched = SimulateSchedule(d, rr.Stats.GroupCost, d.Policy)
+	}
 	return rr
 }
 
@@ -131,6 +137,7 @@ type coopLaunchState struct {
 	nWfs   int
 	launch uint64
 	f      CoopFunc
+	fn     bool // functional launch: execute, record nothing
 	next   atomic.Int64
 	mu     sync.Mutex
 	wgrp   sync.WaitGroup
@@ -147,10 +154,6 @@ func (st *coopLaunchState) work() {
 		if gi >= groups {
 			break
 		}
-		cache.reset()
-		for _, wf := range wfs {
-			wf.reset()
-		}
 		ws.lds.reset()
 		// The GroupCtx lives in the worker scratch and is rebuilt per group
 		// by assignment: a stack value would escape into the kernel body and
@@ -165,6 +168,17 @@ func (st *coopLaunchState) work() {
 			lds:   &ws.lds,
 			ctx:   Ctx{cm: &d.Cost, fi: d.Fault, launch: st.launch},
 		}
+		if st.fn {
+			// No wavefront accumulators: enter only sets ids and every
+			// Ctx operation skips its record.
+			gc.wfs = nil
+			st.f(gc)
+			continue
+		}
+		cache.reset()
+		for _, wf := range wfs {
+			wf.reset()
+		}
 		cost := d.execCoopGroup(gc, st.launch, st.f, cache, local)
 		if fi := d.Fault; fi != nil && fi.stallGroup(st.launch, gc.id) {
 			cost *= fi.stallFactor()
@@ -177,22 +191,24 @@ func (st *coopLaunchState) work() {
 	d.putWorkerScratch(ws)
 }
 
-func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, launch uint64, f CoopFunc) {
+func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, launch uint64, f CoopFunc, fn bool) {
 	d.check()
 	width := d.WavefrontWidth
 	size := d.WorkgroupSize
 	nWfs := size / width
 	*stats = KernelStats{
-		Name:      name,
-		Items:     groups * size,
-		Groups:    groups,
-		GroupCost: d.i64s.get(groups),
-		width:     width,
+		Name:   name,
+		Items:  groups * size,
+		Groups: groups,
+		width:  width,
 	}
 	if groups == 0 {
 		return
 	}
-	stats.WavefrontCost = d.i64s.getCap(groups * nWfs)
+	if !fn {
+		stats.GroupCost = d.i64s.get(groups)
+		stats.WavefrontCost = d.i64s.getCap(groups * nWfs)
+	}
 	workers := d.workers()
 	if workers > groups {
 		workers = groups
@@ -201,7 +217,7 @@ func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, lau
 	if st == nil {
 		st = &coopLaunchState{}
 	}
-	st.d, st.stats, st.size, st.nWfs, st.launch, st.f = d, stats, size, nWfs, launch, f
+	st.d, st.stats, st.size, st.nWfs, st.launch, st.f, st.fn = d, stats, size, nWfs, launch, f, fn
 	st.next.Store(0)
 	st.wgrp.Add(workers)
 	for w := 1; w < workers; w++ {

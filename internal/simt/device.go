@@ -32,6 +32,10 @@ type Device struct {
 	// semantics (see FaultInjector); while armed, phase A runs on one
 	// worker. nil — the default — costs nothing and changes nothing.
 	Fault *FaultInjector
+	// Mode selects whether launches record their cost (Accounted, the
+	// default) or only compute (Functional). Like Policy it may change
+	// between launches; an attached Fault forces accounting.
+	Mode Mode
 
 	nextBuf  atomic.Int32
 	launches atomic.Uint64
@@ -45,6 +49,40 @@ type Device struct {
 	workers_   sync.Pool
 	launchSt   sync.Pool // *launchState
 	coopSt     sync.Pool // *coopLaunchState
+}
+
+// Mode is a device's execution mode.
+type Mode int
+
+const (
+	// Accounted launches record every access, cost each wavefront against
+	// the coalescing, cache and LDS models, and replay the group costs
+	// through the scheduling policy: the paper's simulated cycles.
+	Accounted Mode = iota
+	// Functional launches run the same kernel bodies over the same
+	// workgroups in the same phase-A order, so buffers end up exactly as
+	// in an Accounted launch, but record nothing: no access log, no
+	// segment-table charge, no LDS ordinals, no per-wavefront statistics
+	// and no schedule replay. The RunResult reports zero cycles and zero
+	// counters. For callers that need the results, not the evidence.
+	Functional
+)
+
+// String implements fmt.Stringer.
+func (m Mode) String() string {
+	if m == Functional {
+		return "functional"
+	}
+	return "accounted"
+}
+
+// Functional reports whether launches run without accounting: Mode is
+// Functional and no fault injector is attached. An injector forces
+// accounting, armed or not: its decisions key on access and atomic
+// ordinals, and a disarmed one still supplies the permissive
+// out-of-bounds semantics, both of which live on the accounting path.
+func (d *Device) Functional() bool {
+	return d.Mode == Functional && d.Fault == nil
 }
 
 // NewDevice returns a device with HD 7950-like defaults.

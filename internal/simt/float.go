@@ -35,13 +35,17 @@ func (b *BufFloat32) Fill(v float32) {
 
 // LdF loads element i of b, accounting one global memory access.
 func (c *Ctx) LdF(b *BufFloat32, i int32) float32 {
-	c.wf.record(c.laneIdx, b.id, i)
+	if w := c.wf; w != nil {
+		w.record(c.laneIdx, b.id, i)
+	}
 	return b.data[i]
 }
 
 // StF stores v to element i of b, accounting one global memory access.
 // The same no-race rule as St applies.
 func (c *Ctx) StF(b *BufFloat32, i int32, v float32) {
-	c.wf.record(c.laneIdx, b.id, i)
+	if w := c.wf; w != nil {
+		w.record(c.laneIdx, b.id, i)
+	}
 	b.data[i] = v
 }

@@ -115,10 +115,16 @@ func (r *RunResult) Cycles() int64 { return r.Sched.Cycles }
 // result back with Device.Recycle to make steady-state launches
 // allocation-free. Callers that retain results just keep them and the GC
 // takes over, exactly as before.
+//
+// On a Functional device the launch records nothing and the RunResult
+// carries only the name, item and group counts (see Mode).
 func (d *Device) Run(name string, items int, f KernelFunc) *RunResult {
 	rr := d.getRunResult()
-	d.execGroups(&rr.Stats, name, items, d.launches.Add(1), f)
-	rr.Sched = SimulateSchedule(d, rr.Stats.GroupCost, d.Policy)
+	fn := d.Functional()
+	d.execGroups(&rr.Stats, name, items, d.launches.Add(1), f, fn)
+	if !fn {
+		rr.Sched = SimulateSchedule(d, rr.Stats.GroupCost, d.Policy)
+	}
 	return rr
 }
 
@@ -130,6 +136,7 @@ type launchState struct {
 	items  int
 	launch uint64
 	f      KernelFunc
+	fn     bool         // functional launch: execute, record nothing
 	next   atomic.Int64 // workgroup grab cursor
 	mu     sync.Mutex
 	wgrp   sync.WaitGroup
@@ -146,6 +153,10 @@ func (st *launchState) work() {
 		if g >= groups {
 			break
 		}
+		if st.fn {
+			d.execGroupFunctional(g, st.items, st.f, &acc.ctx)
+			continue
+		}
 		cache.reset()
 		cost := d.execOneGroupSafe(g, st.items, st.launch, st.f, acc, cache, local)
 		if fi := d.Fault; fi != nil && fi.stallGroup(st.launch, int32(g)) {
@@ -160,25 +171,27 @@ func (st *launchState) work() {
 }
 
 // execGroups is phase A: execute every workgroup, recording costs into
-// stats (which is overwritten).
-func (d *Device) execGroups(stats *KernelStats, name string, items int, launch uint64, f KernelFunc) {
+// stats (which is overwritten) unless fn marks a functional launch.
+func (d *Device) execGroups(stats *KernelStats, name string, items int, launch uint64, f KernelFunc, fn bool) {
 	d.check()
 	wg := d.WorkgroupSize
 	width := d.WavefrontWidth
 	groups := (items + wg - 1) / wg
 	*stats = KernelStats{
-		Name:      name,
-		Items:     items,
-		Groups:    groups,
-		GroupCost: d.i64s.get(groups),
-		width:     width,
+		Name:   name,
+		Items:  items,
+		Groups: groups,
+		width:  width,
 	}
 	if groups == 0 {
 		return
 	}
-	// Every wavefront contributes one WavefrontCost entry; pre-sizing the
-	// slice keeps the worker merges from reallocating it.
-	stats.WavefrontCost = d.i64s.getCap((items + width - 1) / width)
+	if !fn {
+		stats.GroupCost = d.i64s.get(groups)
+		// Every wavefront contributes one WavefrontCost entry; pre-sizing
+		// the slice keeps the worker merges from reallocating it.
+		stats.WavefrontCost = d.i64s.getCap((items + width - 1) / width)
+	}
 
 	workers := d.workers()
 	if workers > groups {
@@ -188,7 +201,7 @@ func (d *Device) execGroups(stats *KernelStats, name string, items int, launch u
 	if st == nil {
 		st = &launchState{}
 	}
-	st.d, st.stats, st.items, st.launch, st.f = d, stats, items, launch, f
+	st.d, st.stats, st.items, st.launch, st.f, st.fn = d, stats, items, launch, f, fn
 	st.next.Store(0)
 	st.wgrp.Add(workers)
 	for w := 1; w < workers; w++ {
@@ -198,6 +211,20 @@ func (d *Device) execGroups(stats *KernelStats, name string, items int, launch u
 	st.wgrp.Wait()
 	st.stats, st.f = nil, nil
 	d.launchSt.Put(st)
+}
+
+// execGroupFunctional runs workgroup g's work-items in execOneGroup's
+// order (lane by lane, wavefront by wavefront is ascending global id)
+// through c with accounting off. Functional launches never carry a fault
+// injector, so there is nothing to abort, stall or absorb.
+func (d *Device) execGroupFunctional(g, items int, f KernelFunc, c *Ctx) {
+	base := g * d.WorkgroupSize
+	end := min(base+d.WorkgroupSize, items)
+	*c = Ctx{cm: &d.Cost}
+	for gid := base; gid < end; gid++ {
+		c.Global, c.Local, c.Group = int32(gid), int32(gid-base), int32(g)
+		f(c)
+	}
 }
 
 // execOneGroupSafe dispatches to execOneGroup; with a fault injector armed

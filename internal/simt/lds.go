@@ -80,9 +80,12 @@ type ldsOrd struct {
 	pairs []uint64
 }
 
-// recordLDS notes that lane l issued an LDS access to element idx.
-func (w *wfAcc) recordLDS(l int, idx int32, banks int32) {
-	lane := &w.lanes[l]
+// recordLDS notes that c's lane issued an LDS access to element idx. It
+// takes the Ctx rather than its fields so the accessors that call it stay
+// within the inlining budget.
+func (c *Ctx) recordLDS(idx int32) {
+	w, banks := c.wf, c.cm.LDSBanks
+	lane := &w.lanes[c.laneIdx]
 	k := int(lane.ldsAccess)
 	lane.ldsAccess++
 	for len(w.ldsOrds) <= k {
@@ -140,7 +143,9 @@ func (w *wfAcc) ldsCost(cm *CostModel) (cycles int64, accesses int64) {
 // LdsLd loads element i of the group-local buffer b, accounting one LDS
 // access.
 func (c *Ctx) LdsLd(b *LDSBuf, i int32) int32 {
-	c.wf.recordLDS(c.laneIdx, i, c.cm.LDSBanks)
+	if c.wf != nil {
+		c.recordLDS(i)
+	}
 	return b.data[i]
 }
 
@@ -149,6 +154,8 @@ func (c *Ctx) LdsLd(b *LDSBuf, i int32) int32 {
 // phase are a programming error on real hardware too; the simulator keeps
 // last-writer-wins semantics.
 func (c *Ctx) LdsSt(b *LDSBuf, i int32, v int32) {
-	c.wf.recordLDS(c.laneIdx, i, c.cm.LDSBanks)
+	if c.wf != nil {
+		c.recordLDS(i)
+	}
 	b.data[i] = v
 }
